@@ -1,5 +1,5 @@
-// Snapshot + materialize cost vs state size: the price of the depth-k
-// ring's per-block boundary snapshot, before and after the COW state
+// Snapshot + materialize cost vs state size: the price of the node's
+// per-block accepted-boundary snapshot, before and after the COW state
 // layer.
 //
 // Two strategies over identical worlds (a KvStore with N keys plus N/10
@@ -14,7 +14,7 @@
 //    O(contracts) page-sharing fork; the root is lazy and the node seeds
 //    it from the accepted block, so no hash runs), then a small dirty
 //    set of writes on the live world (the detach-on-write cost the fork
-//    defers to the next block's mining), then `materialize()` (another
+//    defers to the next block's execution), then `materialize()` (another
 //    fork — the validator/recovery side).
 //
 // The honest COW boundary cost is snapshot + dirty-detach; the

@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   config.pipelined = true;
   config.pipeline_depth = 3;  // Mining may run 3 blocks ahead of validation.
   // The chaos seam: corrupt the FIRST block mined as number 5. Its
-  // rejection dooms whatever the miner speculated on top; the node
-  // recovers from the pre-5 boundary snapshot and mines on.
+  // rejection dooms whatever the miner speculated on top; the node rolls
+  // back to the last accepted boundary (block 4's) and mines on.
   config.post_mine_hook = [fired = std::make_shared<bool>(false)](chain::Block& block) {
     if (!*fired && block.header.number == 5) {
       *fired = true;

@@ -84,8 +84,8 @@ class Validator {
   /// `world`. A failed validation leaves the replica dirty (replay
   /// mutates it up to the point of divergence — or all the way, when
   /// only the published root was wrong), so re-org recovery materializes
-  /// a fresh world from the rejected block's pre-state snapshot and
-  /// resumes here. Must not be called while validating.
+  /// a fresh world from the last accepted boundary snapshot and resumes
+  /// here. Must not be called while validating.
   void resume_from(vm::World& world) noexcept { engine_.rebind(world); }
 
   [[nodiscard]] unsigned threads() const noexcept { return pool_.size(); }

@@ -11,34 +11,16 @@
 #include <utility>
 
 #include "chain/block.hpp"
-#include "util/sha256.hpp"
 #include "vm/world.hpp"
 
 namespace concord::node {
 
-/// One mined-but-unvalidated block in flight between the pipeline
-/// stages, together with everything needed to unwind it: the immutable
-/// world state the block was mined FROM (its parent boundary) and the
-/// post-state root it claims to produce. When the validator rejects the
-/// block, the pre-state snapshot is the recovery point both stages
-/// re-materialize from; when it accepts, the snapshot handle is simply
-/// dropped. `pre_state` may be an empty handle when the pipeline runs
-/// with recovery disabled (NodeConfig::halt_on_rejection) — rejection is
-/// then fatal and nothing needs unwinding.
-struct InFlightBlock {
-  chain::Block block;
-  vm::WorldSnapshot pre_state;       ///< World at the block's parent boundary.
-  util::Hash256 expected_post_root;  ///< block.header.state_root, denormalized
-                                     ///< so the re-org diagnostics can name the
-                                     ///< rejected claim after the block itself
-                                     ///< was moved into (and consumed by) the
-                                     ///< validator.
-};
-
 /// Where a re-org lands: the last *accepted* boundary. The consumer
-/// fills this in when it rejects a block; the producer collects it when
-/// it acknowledges the abort, re-materializes its world from `world` and
-/// resumes mining on top of `parent`.
+/// fills this in when it rejects a block — a copy of the verified
+/// boundary handle it already keeps, so recovery costs no extra fork —
+/// and the producer collects it when it acknowledges the abort,
+/// re-materializes its world from `world` and resumes mining on top of
+/// `parent`.
 struct RecoveryPoint {
   vm::WorldSnapshot world;  ///< State at the last accepted block boundary.
   chain::Block parent;      ///< The last accepted block (the new mining parent).
@@ -53,20 +35,23 @@ struct HandoffRingStats {
   std::uint64_t drained_transactions = 0; ///< Transactions inside those entries.
 };
 
-/// Bounded SPSC ring of in-flight blocks between the miner (producer)
-/// and the validator (consumer). The depth is how far mining may run
-/// ahead of validation — depth 1 degenerates to the original handoff
-/// slot. Mutex + condition variables rather than a lock-free ring:
-/// traffic is one block at a time, and the abort handshake below wants
-/// the linearization a single mutex gives for free.
+/// Bounded SPSC ring of mined-but-unvalidated blocks between the miner
+/// (producer) and the validator (consumer). The depth is how far mining
+/// may run ahead of validation — depth 1 degenerates to the original
+/// handoff slot. A block carries nothing but itself: the recovery anchor
+/// lives on the consumer side (the last accepted boundary), so no entry
+/// needs a pre-state of its own. Mutex + condition variables rather than
+/// a lock-free ring: traffic is one block at a time, and the abort
+/// handshake below wants the linearization a single mutex gives for
+/// free.
 ///
 /// Abort protocol (single outstanding abort by construction):
-///  1. The consumer rejects entry N and calls abort_and_drain(point):
-///     every queued entry is discarded (all were mined on top of N), the
+///  1. The consumer rejects block N and calls abort_and_drain(point):
+///     every queued block is discarded (all were mined on top of N), the
 ///     recovery point is published, the abort flag raised, and a
 ///     producer blocked in push() is woken.
 ///  2. The producer observes the flag — either as a failed push
-///     (kAborted: the pushed entry was part of the doomed suffix and is
+///     (kAborted: the pushed block was part of the doomed suffix and is
 ///     NOT delivered) or via abort_requested() before mining its next
 ///     batch — and calls acknowledge_abort(), which hands back the
 ///     recovery point and reopens the ring.
@@ -74,6 +59,10 @@ struct HandoffRingStats {
 ///     post-recovery block. It cannot reject a block it has not seen,
 ///     so a second abort cannot be raised before the first is
 ///     acknowledged; one flag suffices.
+///
+/// A node that validates inline (NodeConfig::pipelined == false) never
+/// pushes: it runs step 1 on an empty ring and step 2 before its next
+/// batch, so both modes share one re-org path.
 class HandoffRing {
  public:
   enum class PushOutcome : std::uint8_t {
@@ -96,12 +85,12 @@ class HandoffRing {
 
   /// Producer. Blocks while the ring is full; this wait is the
   /// pipeline's stall time when validation is the bottleneck.
-  [[nodiscard]] PushOutcome push(InFlightBlock entry) {
+  [[nodiscard]] PushOutcome push(chain::Block block) {
     std::unique_lock lk(mu_);
     space_.wait(lk, [&] { return ring_.size() < depth_ || abort_pending_ || closed_; });
     if (abort_pending_) return PushOutcome::kAborted;
     if (closed_) return PushOutcome::kClosed;
-    ring_.push_back(std::move(entry));
+    ring_.push_back(std::move(block));
     stats_.high_water = std::max(stats_.high_water, ring_.size());
     ++stats_.delivered;
     lk.unlock();
@@ -114,15 +103,15 @@ class HandoffRing {
   /// drained (nullopt, the shutdown signal). While an abort is pending
   /// the ring is empty and stays empty, so this also waits out the
   /// recovery handshake and returns the first post-recovery block.
-  [[nodiscard]] std::optional<InFlightBlock> pop() {
+  [[nodiscard]] std::optional<chain::Block> pop() {
     std::unique_lock lk(mu_);
     filled_.wait(lk, [&] { return !ring_.empty() || closed_; });
     if (ring_.empty()) return std::nullopt;
-    InFlightBlock entry = std::move(ring_.front());
+    chain::Block block = std::move(ring_.front());
     ring_.pop_front();
     lk.unlock();
     space_.notify_one();
-    return entry;
+    return block;
   }
 
   /// Consumer, after rejecting the block it holds: discard the queued
@@ -134,9 +123,9 @@ class HandoffRing {
     {
       std::scoped_lock lk(mu_);
       if (abort_pending_) throw std::logic_error("handoff ring: abort already pending");
-      for (const InFlightBlock& entry : ring_) {
+      for (const chain::Block& block : ring_) {
         ++result.blocks;
-        result.transactions += entry.block.transactions.size();
+        result.transactions += block.transactions.size();
       }
       ring_.clear();
       abort_pending_ = true;
@@ -169,8 +158,8 @@ class HandoffRing {
   }
 
   /// Either side. Producer: end-of-stream — the consumer drains what is
-  /// queued, then pop() returns nullopt. Consumer (fatal halt): wakes a
-  /// producer blocked in push() with kClosed. Idempotent.
+  /// queued, then pop() returns nullopt. Consumer (a validation error):
+  /// wakes a producer blocked in push() with kClosed. Idempotent.
   void close() {
     {
       std::scoped_lock lk(mu_);
@@ -202,7 +191,7 @@ class HandoffRing {
   mutable std::mutex mu_;
   std::condition_variable space_;   ///< Producer waits here: ring full.
   std::condition_variable filled_;  ///< Consumer waits here: ring empty.
-  std::deque<InFlightBlock> ring_;  ///< Front = oldest in-flight block.
+  std::deque<chain::Block> ring_;   ///< Front = oldest in-flight block.
   bool closed_ = false;
   bool abort_pending_ = false;
   std::optional<RecoveryPoint> recovery_;

@@ -53,6 +53,7 @@ Node::Node(std::unique_ptr<vm::World> world, NodeConfig config)
       miner_world_(require_world(std::move(world))),
       genesis_(*miner_world_),
       validator_world_(genesis_.materialize()),
+      accepted_(genesis_),
       mempool_(config_.batch, config_.mempool_capacity, config_.mine_shards),
       miner_(*miner_world_, config_.miner),
       validator_(*validator_world_, config_.validator),
@@ -90,261 +91,86 @@ void Node::run() {
   if (following_) throw std::logic_error("Node::run(): this node is a follower");
   ran_ = true;
   const auto start = Clock::now();
-  try {
-    if (config_.pipelined) {
-      run_pipelined();
-    } else {
-      run_sequential();
-    }
-  } catch (...) {
-    // Failure diagnostics still carry timing: a run that died after two
-    // hours should not report wall_ms == 0.
-    stats_.wall_ms = ms_since(start);
-    fold_read_stats();
-    // Producers must never hang on a node that has stopped consuming —
-    // not even when a stage failed hard (e.g. the miner's livelock guard).
-    mempool_.close();
-    throw;
-  }
-  mempool_.close();
-  stats_.wall_ms = ms_since(start);
-  fold_read_stats();
-}
 
-void Node::fold_read_stats() {
-  stats_.queries_served = queries_served_.load(std::memory_order_relaxed);
-  stats_.query_gas_used = query_gas_used_.load(std::memory_order_relaxed);
-  stats_.pins_expired = pins_expired_.load(std::memory_order_relaxed);
-  // Writer-thread fields, safe here: both stages have joined by now.
-  stats_.snapshots_retained_high_water = snapshots_.retained_high_water();
-}
-
-void Node::run_sequential() {
-  chain::Block parent = chain_.tip();
-  // The pre-state boundary of the block about to be mined — genesis for
-  // the first block, then refreshed after each accepted block. With
-  // halt_on_rejection there is nothing to unwind to, so no snapshots.
-  vm::WorldSnapshot boundary = recovery_enabled() ? genesis_ : vm::WorldSnapshot{};
-  double mine_ms = 0.0;
-  double validate_ms = 0.0;
-  double mempool_wait = 0.0;
-  double snapshot_ms = 0.0;
-  std::uint64_t mined = 0;
-
-  const bool sharded = config_.mine_shards > 1;
-  while (config_.max_blocks == 0 || mined < config_.max_blocks) {
-    const auto t_wait = Clock::now();
-    std::optional<std::vector<chain::Transaction>> batch;
-    std::optional<Mempool::Window> window;
-    if (sharded) {
-      window = mempool_.next_window();
-    } else {
-      batch = mempool_.next_batch();
-    }
-    mempool_wait += ms_since(t_wait);
-    if (sharded ? !window.has_value() : !batch.has_value()) break;
-
-    const auto t_mine = Clock::now();
-    chain::Block block = sharded ? mine_window(*window, parent) : mine_batch(*batch, parent);
-    mine_ms += ms_since(t_mine);
-    ++mined;
-    const std::size_t block_txs = block.transactions.size();
-    parent = block;
-
-    if (validate_and_append(std::move(block), validate_ms)) {
-      if (recovery_enabled()) {
-        // An O(contracts) COW fork; the accepted block's verified root
-        // seeds the snapshot so no O(state) hash runs either.
-        const auto t_snapshot = Clock::now();
-        boundary = vm::WorldSnapshot(*miner_world_, parent.header.state_root);
-        snapshot_ms += ms_since(t_snapshot);
-      }
-      continue;
-    }
-    if (!recovery_enabled()) break;
-
-    // Re-org, sequential flavor: no speculative suffix exists, only the
-    // rejected block itself unwinds. Both stages re-materialize from the
-    // boundary the block was mined on (the last accepted state) and the
-    // stream continues; the rejected batch is dropped.
-    const auto t_recover = Clock::now();
-    stats_.dropped_transactions += block_txs;
-    validator_world_ = boundary.materialize();
-    validator_.resume_from(*validator_world_);
-    miner_world_ = boundary.materialize();
-    miner_.resume_from(*miner_world_);
-    parent = chain_.tip();
-    // See the pipelined flavor: published boundaries are all accepted,
-    // so this is invariant enforcement, not cleanup.
-    if (read_path_enabled()) snapshots_.rewind_to(parent.header.number);
-    ++stats_.recoveries;
-    stats_.recovery_ms += ms_since(t_recover);
-  }
-
-  mining_done_.store(true, std::memory_order_release);
-  stats_.mine_ms = mine_ms;
-  stats_.validate_ms = validate_ms;
-  stats_.mempool_wait_ms = mempool_wait;
-  stats_.snapshot_ms = snapshot_ms;
-}
-
-void Node::run_pipelined() {
-  // The depth-k ring between the stages. While the validator replays the
-  // oldest in-flight block, the miner keeps mining up to pipeline_depth
-  // blocks ahead against its own unvalidated output.
+  // The depth-k ring between the stages. Pipelined, a validator thread
+  // drains it while the miner keeps mining up to pipeline_depth blocks
+  // ahead against its own unvalidated output; inline, nothing is ever
+  // pushed and the ring only carries the abort handshake.
   HandoffRing ring(config_.pipeline_depth);
-  std::atomic<bool> validation_stopped{false};
   std::exception_ptr validator_error;
-
-  // Validator-stage locals, merged into stats_ after the join (the miner
-  // thread owns other NodeStats fields while both are live).
-  double validate_ms = 0.0;
-  double validator_stall = 0.0;
-  double v_recovery_ms = 0.0;
-  std::uint64_t v_recoveries = 0;
-  std::uint64_t v_aborted_blocks = 0;
-  std::uint64_t v_dropped_txs = 0;
-
-  std::jthread validator_thread([&] {
+  const auto validator_loop = [&] {
     try {
       while (true) {
         const auto t_wait = Clock::now();
-        std::optional<InFlightBlock> entry = ring.pop();
-        validator_stall += ms_since(t_wait);
-        if (!entry) break;  // Mining finished and the ring drained.
-        if (config_.pre_validate_hook) config_.pre_validate_hook(entry->block);
-        const std::size_t block_txs = entry->block.transactions.size();
-        if (validate_and_append(std::move(entry->block), validate_ms)) continue;
-
-        // Rejected. Without a pre-state boundary (halt mode) it is fatal.
-        if (!recovery_enabled() || !entry->pre_state.valid()) break;
-
-        // Stamp the re-org coordinates onto the recorded report: the
-        // post-root the in-flight block claimed and the boundary the
-        // node recovered to (the rejected block itself was consumed by
-        // the validator above, so the denormalized ring copy is what
-        // still knows the claim).
-        if (failure_.has_value() && stats_.rejected_blocks == 1) {
-          failure_->detail += " [in-flight block claimed post-root " +
-                              entry->expected_post_root.to_hex().substr(0, 16) +
-                              "…, re-orged to boundary " +
-                              entry->pre_state.state_root().to_hex().substr(0, 16) + "…]";
-        }
-
-        // Re-org: every queued entry was mined on top of the rejected
-        // block — drain them, publish the recovery point, and rebuild
-        // this stage's replica from the last accepted boundary. The
-        // miner re-materializes its own world concurrently once it
-        // observes the abort (cloning the shared frozen snapshot only
-        // reads it). Reading chain_.tip() here is safe: nothing appends
-        // until the handshake completes and a post-recovery block
-        // validates.
-        const auto t_recover = Clock::now();
-        v_dropped_txs += block_txs;
-        const HandoffRing::DrainResult drained =
-            ring.abort_and_drain(RecoveryPoint{entry->pre_state, chain_.tip()});
-        v_aborted_blocks += drained.blocks;
-        v_dropped_txs += drained.transactions;
-        validator_world_ = entry->pre_state.materialize();
-        validator_.resume_from(*validator_world_);
-        // Invariant enforcement more than necessity: only ACCEPTED
-        // boundaries are ever published, so the ring's head cannot
-        // exceed the surviving tip — but a rewind here keeps the read
-        // path honest by construction even if that ever changes.
-        if (read_path_enabled()) snapshots_.rewind_to(chain_.tip().header.number);
-        ++v_recoveries;  // One re-org completed (the miner's half is lazy).
-        v_recovery_ms += ms_since(t_recover);
+        std::optional<chain::Block> block = ring.pop();
+        stats_.validator_stall_ms += ms_since(t_wait);
+        if (!block) break;  // Mining finished and the ring drained.
+        validate_step(ring, std::move(*block));
       }
     } catch (...) {
       validator_error = std::current_exception();
     }
-    // Covers halt-rejection, drain and error alike: release a miner
-    // blocked on the ring or inside next_batch, and producers blocked on
-    // mempool capacity.
-    validation_stopped.store(true, std::memory_order_relaxed);
+    // Release a miner blocked on the ring or inside next_window, and
+    // producers blocked on mempool capacity.
     ring.close();
     mempool_.close();
-  });
+  };
+
+  // Miner-side counters that the validator side also keeps; merged into
+  // stats_ after the join. Every other NodeStats field has one writer.
+  double resume_ms = 0.0;
+  std::uint64_t failed_pushes = 0;
+  std::uint64_t failed_push_txs = 0;
 
   chain::Block parent = chain_.tip();
-  vm::WorldSnapshot boundary = recovery_enabled() ? genesis_ : vm::WorldSnapshot{};
-  double mine_ms = 0.0;
-  double mempool_wait = 0.0;
-  double handoff_wait = 0.0;
-  double snapshot_ms = 0.0;
-  double m_recovery_ms = 0.0;
-  std::uint64_t mined = 0;
-  std::uint64_t m_aborted_blocks = 0;
-  std::uint64_t m_dropped_txs = 0;
-  std::exception_ptr miner_error;
-
   // The producer half of the abort handshake: collect the recovery
   // point, rebuild the mining world from the last accepted boundary and
-  // resume on top of the last accepted block. The boundary snapshot is
-  // shared with the recovery point — the resumed world *is* that state,
-  // so no fresh snapshot is needed until the next block is accepted.
-  const auto recover = [&] {
+  // resume on top of the last accepted block.
+  const auto resume_mining = [&] {
     const auto t_recover = Clock::now();
     RecoveryPoint point = ring.acknowledge_abort();
     miner_world_ = point.world.materialize();
     miner_.resume_from(*miner_world_);
     parent = std::move(point.parent);
-    boundary = std::move(point.world);
-    m_recovery_ms += ms_since(t_recover);
+    resume_ms += ms_since(t_recover);
   };
 
-  const bool sharded = config_.mine_shards > 1;
+  std::exception_ptr miner_error;
+  std::jthread validator_thread;
+  std::uint64_t mined = 0;
   try {
-    while (!validation_stopped.load(std::memory_order_relaxed) &&
-           (config_.max_blocks == 0 || mined < config_.max_blocks)) {
+    if (config_.pipelined) validator_thread = std::jthread(validator_loop);
+    while (!ring.closed() && (config_.max_blocks == 0 || mined < config_.max_blocks)) {
       const auto t_wait = Clock::now();
-      std::optional<std::vector<chain::Transaction>> batch;
-      std::optional<Mempool::Window> window;
-      if (sharded) {
-        window = mempool_.next_window();
-      } else {
-        batch = mempool_.next_batch();
-      }
-      mempool_wait += ms_since(t_wait);
-      if (sharded ? !window.has_value() : !batch.has_value()) break;
+      std::optional<Mempool::Window> window = mempool_.next_window();
+      stats_.mempool_wait_ms += ms_since(t_wait);
+      if (!window.has_value()) break;
 
-      // A rejection may have landed while this stage waited for traffic;
-      // recover before mining the fresh batch on a doomed parent.
-      if (ring.abort_requested()) recover();
+      // A rejection may have landed since the last block; recover before
+      // mining the fresh window on a doomed parent.
+      if (ring.abort_requested()) resume_mining();
 
       const auto t_mine = Clock::now();
-      chain::Block block = sharded ? mine_window(*window, parent) : mine_batch(*batch, parent);
-      mine_ms += ms_since(t_mine);
+      chain::Block block = mine_block(*window, parent);
+      stats_.mine_ms += ms_since(t_mine);
       ++mined;
-      const std::size_t block_txs = block.transactions.size();
       parent = block;
 
-      const auto t_handoff = Clock::now();
-      const HandoffRing::PushOutcome outcome =
-          ring.push(InFlightBlock{std::move(block), boundary, parent.header.state_root});
-      handoff_wait += ms_since(t_handoff);
-      if (outcome == HandoffRing::PushOutcome::kAborted) {
-        // The block extends a rejected chain: part of the doomed suffix.
-        ++m_aborted_blocks;
-        m_dropped_txs += block_txs;
-        recover();
+      if (!config_.pipelined) {
+        validate_step(ring, std::move(block));  // The synchronous handoff.
         continue;
       }
-      if (outcome == HandoffRing::PushOutcome::kClosed) break;
-
-      if (recovery_enabled()) {
-        // Freeze the post-block state: the pre-state boundary of the
-        // next block. An O(contracts) COW fork — the miner detaches the
-        // pages it dirties as it keeps mining. The root stays lazy and
-        // is NOT seeded from the mined block's claimed root: that claim
-        // is unvalidated here (a corrupt one would poison the cache for
-        // any future consumer, e.g. mid-block read serving), and in
-        // steady state nobody reads a boundary root anyway — only
-        // exceptional paths do, and they hash the frozen world honestly
-        // on first demand.
-        const auto t_snapshot = Clock::now();
-        boundary = vm::WorldSnapshot(*miner_world_);
-        snapshot_ms += ms_since(t_snapshot);
+      const std::size_t block_txs = block.transactions.size();
+      const auto t_handoff = Clock::now();
+      const HandoffRing::PushOutcome outcome = ring.push(std::move(block));
+      stats_.handoff_wait_ms += ms_since(t_handoff);
+      if (outcome == HandoffRing::PushOutcome::kAborted) {
+        // The block extends a rejected chain: part of the doomed suffix.
+        ++failed_pushes;
+        failed_push_txs += block_txs;
+        resume_mining();
+      } else if (outcome == HandoffRing::PushOutcome::kClosed) {
+        break;
       }
     }
   } catch (...) {
@@ -356,21 +182,67 @@ void Node::run_pipelined() {
 
   mining_done_.store(true, std::memory_order_release);
   ring.close();
-  validator_thread.join();
+  if (validator_thread.joinable()) validator_thread.join();
+  // Producers must never hang on a node that has stopped consuming — not
+  // even when a stage failed hard.
+  mempool_.close();
+  stats_.aborted_blocks += failed_pushes;
+  stats_.dropped_transactions += failed_push_txs;
+  stats_.recovery_ms += resume_ms;
+  stats_.ring_high_water = ring.stats().high_water;
+  // Failure diagnostics still carry timing: a run that died after two
+  // hours should not report wall_ms == 0.
+  stats_.wall_ms = ms_since(start);
+  fold_read_stats();
   if (miner_error) std::rethrow_exception(miner_error);
   if (validator_error) std::rethrow_exception(validator_error);
+}
 
-  stats_.mine_ms = mine_ms;
-  stats_.validate_ms = validate_ms;
-  stats_.mempool_wait_ms = mempool_wait;
-  stats_.handoff_wait_ms = handoff_wait;
-  stats_.validator_stall_ms = validator_stall;
-  stats_.snapshot_ms = snapshot_ms;
-  stats_.aborted_blocks = v_aborted_blocks + m_aborted_blocks;
-  stats_.dropped_transactions = v_dropped_txs + m_dropped_txs;
-  stats_.recoveries = v_recoveries;
-  stats_.recovery_ms = v_recovery_ms + m_recovery_ms;
-  stats_.ring_high_water = ring.stats().high_water;
+void Node::fold_read_stats() {
+  stats_.queries_served = queries_served_.load(std::memory_order_relaxed);
+  stats_.query_gas_used = query_gas_used_.load(std::memory_order_relaxed);
+  stats_.pins_expired = pins_expired_.load(std::memory_order_relaxed);
+  // Writer-thread fields, safe here: both stages have joined by now.
+  stats_.snapshots_retained_high_water = snapshots_.retained_high_water();
+}
+
+void Node::validate_step(HandoffRing& ring, chain::Block block) {
+  if (config_.pre_validate_hook) config_.pre_validate_hook(block);
+  const std::size_t block_txs = block.transactions.size();
+  // Captured before the block moves into (and is consumed by) the
+  // validator: the failure detail names the rejected claim.
+  const util::Hash256 claimed_root = block.header.state_root;
+  if (validate_and_append(std::move(block))) return;
+
+  if (stats_.rejected_blocks == 1) {
+    failure_->detail += " [block claimed post-root " + claimed_root.to_hex().substr(0, 16) +
+                        "…, re-orged to boundary " +
+                        accepted_.state_root().to_hex().substr(0, 16) + "…]";
+  }
+  // Re-org: every queued block was mined on top of the rejected one —
+  // drain them and hand the miner the last accepted boundary. It
+  // re-materializes its own world once it observes the abort (cloning
+  // the shared frozen snapshot only reads it). Reading chain_.tip() here
+  // is safe: nothing appends until the handshake completes and a
+  // post-recovery block validates.
+  const HandoffRing::DrainResult drained =
+      ring.abort_and_drain(RecoveryPoint{accepted_, chain_.tip()});
+  stats_.aborted_blocks += drained.blocks;
+  stats_.dropped_transactions += block_txs + drained.transactions;
+  recover_validator();
+}
+
+void Node::recover_validator() {
+  const auto t_recover = Clock::now();
+  validator_world_ = accepted_.materialize();
+  validator_.resume_from(*validator_world_);
+  // Invariant enforcement more than necessity: only ACCEPTED boundaries
+  // are ever published, so the ring's head cannot exceed the surviving
+  // tip — but a rewind here keeps the read path honest by construction
+  // even if that ever changes.
+  if (read_path_enabled()) snapshots_.rewind_to(chain_.tip().header.number);
+  ++stats_.recoveries;  // One re-org completed (the miner's half is lazy).
+  stats_.recovery_ms += ms_since(t_recover);
 }
 
 void Node::run_follower(net::Peer& peer) {
@@ -379,11 +251,6 @@ void Node::run_follower(net::Peer& peer) {
   following_ = true;
   in_session_ = true;
   const auto start = Clock::now();
-  // The recovery anchor survives across sessions: a reconnecting
-  // follower resumes from its last accepted boundary, not from genesis.
-  if (!follower_boundary_.has_value()) follower_boundary_ = genesis_;
-
-  double validate_ms = 0.0;
   std::uint64_t leader_head = chain_.height();
 
   const auto send_nack = [&](std::uint64_t number, net::NackReason reason, std::string detail) {
@@ -459,7 +326,7 @@ void Node::run_follower(net::Peer& peer) {
       bool accepted = false;
       std::string reject_detail;
       try {
-        accepted = validate_and_append(std::move(announce->block), validate_ms);
+        accepted = validate_and_append(std::move(announce->block));
         if (!accepted && last_rejection_.has_value()) {
           reject_detail = std::string(core::to_string(last_rejection_->reason)) + ": " +
                           last_rejection_->detail;
@@ -472,28 +339,17 @@ void Node::run_follower(net::Peer& peer) {
       }
 
       if (accepted) {
-        const chain::Block& tip = chain_.tip();
-        // Refresh the recovery anchor to the new accepted boundary (the
-        // verified root seeds the snapshot, as on the mining path).
-        const auto t_snapshot = Clock::now();
-        follower_boundary_ = vm::WorldSnapshot(*validator_world_, tip.header.state_root);
-        stats_.snapshot_ms += ms_since(t_snapshot);
-        if (peer.send(net::Message{net::Ack{number, tip.header.state_root}})) {
+        if (peer.send(net::Message{net::Ack{number, chain_.tip().header.state_root}})) {
           ++stats_.net_acks_sent;
         }
         request_next();
         continue;
       }
 
-      // Rejected: this is PR 4 recovery serving as fork-choice. Unwind
-      // the replica to the last accepted boundary, tell the leader why,
-      // and ask for an honest retransmission of the same height.
-      const auto t_recover = Clock::now();
-      validator_world_ = follower_boundary_->materialize();
-      validator_.resume_from(*validator_world_);
-      if (read_path_enabled()) snapshots_.rewind_to(chain_.tip().header.number);
-      ++stats_.recoveries;
-      stats_.recovery_ms += ms_since(t_recover);
+      // Rejected: the leader's re-org recovery serving as fork-choice.
+      // Unwind the replica to the last accepted boundary, tell the leader
+      // why, and ask for an honest retransmission of the same height.
+      recover_validator();
       send_nack(number, net::NackReason::kValidationFailed, std::move(reject_detail));
       request_next();
       continue;
@@ -504,7 +360,6 @@ void Node::run_follower(net::Peer& peer) {
   }
 
   if (peer.failed()) ++stats_.net_wire_errors;
-  stats_.validate_ms += validate_ms;
   stats_.wall_ms += ms_since(start);
   fold_read_stats();
   in_session_ = false;
@@ -520,10 +375,17 @@ void Node::fold_lane_stats(const core::MinerStats& mined) {
       std::max(stats_.lock_table_memory_high_water, mined.lock_table_memory_high_water);
 }
 
-chain::Block Node::mine_batch(const std::vector<chain::Transaction>& batch,
-                              const chain::Block& parent) {
-  chain::Block block = config_.mining == MiningMode::kSerial ? miner_.mine_serial(batch, parent)
-                                                             : miner_.mine(batch, parent);
+chain::Block Node::mine_block(const Mempool::Window& window, const chain::Block& parent) {
+  chain::Block block;
+  if (config_.mine_shards > 1) {
+    block = mine_lanes(window, parent);
+  } else if (config_.mining == MiningMode::kSerial) {
+    block = miner_.mine_serial(window.lanes[0], parent);
+  } else {
+    block = miner_.mine(window.lanes[0], parent);
+  }
+  // The primary miner's stats describe the whole block: its own lane's
+  // execution plus, when sharded, the seal.
   const core::MinerStats& mined = miner_.last_stats();
   fold_lane_stats(mined);
   stats_.schedule_bytes += mined.schedule_bytes;
@@ -536,7 +398,7 @@ chain::Block Node::mine_batch(const std::vector<chain::Transaction>& batch,
   return block;
 }
 
-chain::Block Node::mine_window(const Mempool::Window& window, const chain::Block& parent) {
+chain::Block Node::mine_lanes(const Mempool::Window& window, const chain::Block& parent) {
   const std::uint32_t shards = config_.mine_shards;
 
   // Fork each busy lane's world off the primary BEFORE lane 0 mutates
@@ -598,44 +460,37 @@ chain::Block Node::mine_window(const Mempool::Window& window, const chain::Block
     mempool_.requeue_front(merged.requeued);
   }
 
-  chain::Block block = miner_.seal_merged(std::move(merged), std::move(lanes[0].logs), parent);
-  const core::MinerStats& sealed = miner_.last_stats();
-  fold_lane_stats(sealed);
-  stats_.schedule_bytes += sealed.schedule_bytes;
-  stats_.arena = sealed.arena;
-  stats_.detect_violations += sealed.detect_violations;
-  if (sealed.detect_violations > 0 && !first_detect_report_.has_value()) {
-    first_detect_report_ = miner_.last_detect_report();
-  }
-  if (config_.post_mine_hook) config_.post_mine_hook(block);
-  return block;
+  return miner_.seal_merged(std::move(merged), std::move(lanes[0].logs), parent);
 }
 
-bool Node::validate_and_append(chain::Block block, double& validate_ms) {
+bool Node::validate_and_append(chain::Block block) {
   const auto t_validate = Clock::now();
   core::ValidationReport report = validator_.validate_parallel(block);
-  validate_ms += ms_since(t_validate);
+  stats_.validate_ms += ms_since(t_validate);
   if (!report.ok) {
     ++stats_.rejected_blocks;
     last_rejection_ = report;  // Every rejection, for the follower's Nack.
     if (!failure_.has_value()) failure_ = std::move(report);
     return false;
   }
-  stats_.blocks += 1;
-  stats_.transactions += block.transactions.size();
   const std::uint64_t number = block.header.number;
+  const std::size_t txs = block.transactions.size();
   const util::Hash256 root = block.header.state_root;
   chain_.append(std::move(block));
-  if (read_path_enabled()) {
-    // Publish the accepted boundary to readers. validate_parallel left
-    // validator_world_ at exactly the post-block state and cross-checked
-    // `root` against it, so the snapshot is verified state and seeding
-    // the root cache is sound (readers never pay the O(state) hash). The
-    // fork is O(contracts), on the appending thread — the same thread
-    // for every publish and rewind, which is the ring's single-writer
-    // contract.
-    snapshots_.publish(number, vm::WorldSnapshot(*validator_world_, root));
-  }
+  stats_.blocks += 1;
+  stats_.transactions += txs;
+  // Freeze the accepted boundary: the recovery anchor and the read
+  // path's published boundary are this one fork. validate_parallel left
+  // validator_world_ at exactly the post-block state and cross-checked
+  // `root` against it, so the snapshot is verified state and seeding the
+  // root cache is sound (neither readers nor a recovery pay the O(state)
+  // hash). The fork is O(contracts), on the appending thread — the same
+  // thread for every publish and rewind, which is the ring's
+  // single-writer contract.
+  const auto t_snapshot = Clock::now();
+  accepted_ = vm::WorldSnapshot(*validator_world_, root);
+  stats_.snapshot_ms += ms_since(t_snapshot);
+  if (read_path_enabled()) snapshots_.publish(number, accepted_);
   // Replication egress LAST: a remote follower never hears about a block
   // before the leader's own readers can pin it.
   if (config_.on_block_accepted) config_.on_block_accepted(chain_.tip());

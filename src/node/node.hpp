@@ -44,7 +44,10 @@ struct NodeConfig {
   core::ValidatorConfig validator;
   BatchPolicy batch;
   std::size_t mempool_capacity = 0;  ///< 0 = unbounded (no producer backpressure).
-  bool pipelined = true;             ///< false = mine→validate→append strictly in turn.
+  /// true = a validator thread replays block N while the miner mines
+  /// ahead through the handoff ring; false = the mining loop validates
+  /// each block inline before cutting the next (same chain, no overlap).
+  bool pipelined = true;
   MiningMode mining = MiningMode::kSpeculative;
   std::size_t max_blocks = 0;        ///< 0 = run until the mempool closes and drains.
 
@@ -65,27 +68,19 @@ struct NodeConfig {
   /// meaningful when `pipelined`.
   std::size_t pipeline_depth = 1;
 
-  /// Legacy fatal-rejection contract: stop the node at the first
-  /// rejected block instead of recovering. Also skips the per-block
-  /// boundary snapshots recovery needs, so a halt-on-rejection node has
-  /// zero snapshot overhead per block. With the default (false), a
-  /// rejection aborts the speculative suffix, re-materializes both
-  /// stages from the last accepted boundary snapshot, and the node keeps
-  /// processing the stream (see Node class comment).
-  bool halt_on_rejection = false;
-
   /// Test/chaos seam: invoked on each mined block (miner thread) before
-  /// it enters the handoff ring. May mutate the block — e.g. corrupt its
+  /// it is handed to validation. May mutate the block — e.g. corrupt its
   /// state root — to exercise the rejection/re-org recovery path. Not
   /// part of the consensus surface.
   std::function<void(chain::Block&)> post_mine_hook;
 
   /// Test seam symmetric to post_mine_hook, on the other stage: invoked
-  /// on the validator thread for each block popped off the handoff ring,
-  /// before it is validated. Lets tests pin the pipeline's interleaving
-  /// (e.g. hold validation of block N until Node::mining_done(), so the
-  /// ring fill at a rejection is deterministic instead of a race between
-  /// the stages). Not part of the consensus surface.
+  /// for each block about to be validated — on the validator thread
+  /// when `pipelined`, inline on the run() thread otherwise. Lets tests
+  /// pin the pipeline's interleaving (e.g. hold validation of block N
+  /// until Node::mining_done(), so the ring fill at a rejection is
+  /// deterministic instead of a race between the stages). Not part of
+  /// the consensus surface.
   std::function<void(const chain::Block&)> pre_validate_hook;
 
   /// Replication egress: invoked with each block the moment it is
@@ -101,11 +96,11 @@ struct NodeConfig {
 
   /// MVCC read path: how many ACCEPTED block boundaries stay published
   /// for "as of block N" queries (the SnapshotRing window — see
-  /// Node::query_at). 0 disables read serving entirely: no ring, no
-  /// per-boundary publish fork, zero overhead on the write path. The
-  /// published boundaries are distinct from the recovery snapshots the
-  /// pipeline takes (those freeze *pre*-validation state on the miner
-  /// thread; these freeze verified state at the append point).
+  /// Node::query_at). 0 disables read serving entirely: nothing is
+  /// published and every query entry point throws. Each published
+  /// boundary is the very fork the node keeps as its recovery anchor
+  /// (see Node), so serving reads adds no fork per block — and 0 does
+  /// not remove that fork either.
   std::size_t retain_snapshots = 8;
 
   /// Gas policy applied to every query this node serves.
@@ -129,8 +124,7 @@ struct NodeStats {
   /// stall time when mining is the bottleneck.
   double validator_stall_ms = 0.0;
 
-  // Re-org recovery (the depth-k ring's abort path; all zero on a clean
-  // run or when NodeConfig::halt_on_rejection stopped the node instead).
+  // Re-org recovery (all zero on a clean run).
   std::uint64_t rejected_blocks = 0;  ///< Blocks the validator refused.
   /// Speculative suffix blocks discarded by re-orgs: entries drained
   /// from the ring plus blocks the miner dropped at a failed handoff.
@@ -145,13 +139,12 @@ struct NodeStats {
   /// this counts per re-org, not per stage).
   std::uint64_t recoveries = 0;
   double recovery_ms = 0.0;      ///< Time re-materializing worlds after rejections.
-  /// Time spent freezing per-block boundary snapshots — the steady-state
-  /// price of recoverability. Since the COW state layer landed this is an
-  /// O(contracts) page-sharing fork (no state hash either: the root is
-  /// lazy, and where one is already verified — sequential mode, genesis —
-  /// it seeds the cache), so it should stay flat as state grows; the real
-  /// cost surfaces as detach-on-write inside mine_ms, proportional to
-  /// each block's dirty set.
+  /// Time spent freezing the accepted-boundary fork, once per accepted
+  /// block on the appending thread. That one fork is both the recovery
+  /// anchor and the read path's published boundary: O(contracts) page
+  /// sharing with the verified root seeded — no state hash — so it stays
+  /// flat as state grows; the real cost surfaces as detach-on-write
+  /// inside validate_ms, proportional to each block's dirty set.
   double snapshot_ms = 0.0;
   /// Max mined-but-unvalidated blocks in flight at once (≤ pipeline_depth).
   std::size_t ring_high_water = 0;
@@ -223,19 +216,25 @@ struct NodeStats {
 /// against its replica at post-(N−1) state and cross-checks the
 /// published state root.
 ///
-/// With `pipelined`, the stages are decoupled by a HandoffRing of
-/// `pipeline_depth` in-flight blocks: the miner keeps mining N+1..N+k on
-/// top of its own unvalidated output while the validator works through
-/// the ring in order (depth 1 is the original two-stage handoff slot —
-/// the ring bounds how far a bad block can let the miner run ahead).
-/// Each in-flight block carries a snapshot of its pre-state boundary.
-/// When the validator rejects block N, the node *recovers* instead of
-/// dying: the speculative suffix N+1..N+k is aborted out of the ring,
-/// both stages re-materialize their worlds from block N's pre-state
-/// snapshot (the last accepted boundary), mining resumes on top of the
-/// last accepted block, and the rejection is reported through
-/// ok()/failure() and the NodeStats abort counters. Set
-/// `halt_on_rejection` for the legacy stop-the-node contract.
+/// run() is ONE loop: cut a window, mine it, hand the block to the
+/// validation step. With `pipelined`, the handoff is a HandoffRing of
+/// `pipeline_depth` in-flight blocks drained by a validator thread, so
+/// the miner keeps mining N+1..N+k on top of its own unvalidated output
+/// (depth 1 is the original two-stage slot — the ring bounds how far a
+/// bad block can let the miner run ahead). Without it, the loop runs the
+/// same validation step inline: a synchronous handoff.
+///
+/// The recovery anchor is the last ACCEPTED boundary, kept on the
+/// validating side: every accepted block freezes the validator's replica
+/// (its root seeded from the verified header) and that one fork is both
+/// the anchor and the read path's published boundary. When block N is
+/// rejected the node *recovers* instead of dying, in both modes through
+/// the ring's abort handshake: the speculative suffix N+1..N+k is
+/// drained (empty when validating inline), the validator re-materializes
+/// from the anchor, the miner collects the anchor from the ring before
+/// its next batch and resumes on top of the last accepted block, and the
+/// rejection is reported through ok()/failure() and the NodeStats abort
+/// counters. A follower (run_follower) recovers to the same anchor.
 ///
 /// Usage: construct with the genesis world, feed mempool() from any
 /// number of producer threads, call run() (blocking), close() the
@@ -254,13 +253,12 @@ class Node {
   [[nodiscard]] Mempool& mempool() noexcept { return mempool_; }
 
   /// The immutable genesis snapshot both stages were derived from — also
-  /// the first block's pre-state boundary in the handoff ring.
+  /// the recovery anchor until the first block is accepted.
   [[nodiscard]] const vm::WorldSnapshot& genesis_snapshot() const noexcept { return genesis_; }
 
-  /// Processes the stream until the mempool closes and drains, max_blocks
-  /// is reached, or — with halt_on_rejection — a block is rejected. Call
-  /// once; blocking. The mempool is closed by the time run() returns, so
-  /// producers never hang.
+  /// Processes the stream until the mempool closes and drains or
+  /// max_blocks blocks are mined. Call once; blocking. The mempool is
+  /// closed by the time run() returns, so producers never hang.
   void run();
 
   /// Follower mode: drives ONE replication session over `peer`, the
@@ -285,10 +283,9 @@ class Node {
   /// Valid after run() returns.
   [[nodiscard]] const NodeStats& stats() const noexcept { return stats_; }
 
-  /// False when validation rejected at least one block. With recovery
-  /// (the default) the run still completed — the chain holds every block
-  /// accepted before and after the re-orgs, and stats() counts what was
-  /// dropped; with halt_on_rejection the node stopped at the rejection.
+  /// False when validation rejected at least one block. The run still
+  /// completed — the chain holds every block accepted before and after
+  /// the re-orgs, and stats() counts what was dropped.
   [[nodiscard]] bool ok() const noexcept { return !failure_.has_value(); }
 
   /// The FIRST rejection's report (valid when !ok()).
@@ -361,36 +358,41 @@ class Node {
   core::QueryOutcome query_call(const chain::Transaction& tx) const;
 
  private:
-  void run_pipelined();
-  void run_sequential();
-
-  /// Mines one batch in the configured mode, folding MinerStats into the
-  /// node aggregates and applying post_mine_hook. Returns the block
-  /// extending `parent`.
-  [[nodiscard]] chain::Block mine_batch(const std::vector<chain::Transaction>& batch,
+  /// Mines one window in the configured mode and returns the block
+  /// extending `parent`: one shard mines lane 0 as a plain batch, more
+  /// fan out through mine_lanes(). Either way the primary miner's stats,
+  /// detect report and post_mine_hook are applied here, once.
+  [[nodiscard]] chain::Block mine_block(const Mempool::Window& window,
                                         const chain::Block& parent);
 
-  /// Sharded flavor of mine_batch (mine_shards > 1): mines each lane of
-  /// the window concurrently — lane 0 on this thread against the primary
+  /// mine_block's fan-out (mine_shards > 1): mines each lane of the
+  /// window concurrently — lane 0 on this thread against the primary
   /// world, lanes ≥ 1 on their own threads against per-block COW forks —
   /// merges the lanes (chain::merge_shards), re-queues the losers and
   /// seals the merged block on the primary miner.
-  [[nodiscard]] chain::Block mine_window(const Mempool::Window& window,
-                                         const chain::Block& parent);
+  [[nodiscard]] chain::Block mine_lanes(const Mempool::Window& window,
+                                        const chain::Block& parent);
 
   /// Folds one lane miner's execution counters into the node aggregates
   /// (the block-level fields — schedule bytes, arena, detect — come from
-  /// the primary miner's seal).
+  /// the primary miner, in mine_block).
   void fold_lane_stats(const core::MinerStats& mined);
 
-  /// Validates and appends; on rejection records the first failure_ and
-  /// returns false (leaving the validator world dirty — the caller owns
-  /// recovery). `validate_ms` accumulates stage time.
-  bool validate_and_append(chain::Block block, double& validate_ms);
+  /// Validates and appends. On acceptance freezes the new boundary into
+  /// accepted_ and publishes that same handle to the read path; on
+  /// rejection records the report and returns false, leaving the
+  /// validator world dirty for recover_validator().
+  bool validate_and_append(chain::Block block);
 
-  /// True when this run takes per-block boundary snapshots (the price of
-  /// being able to recover from a rejection).
-  [[nodiscard]] bool recovery_enabled() const noexcept { return !config_.halt_on_rejection; }
+  /// The leader's validation step, the same in both modes: one block
+  /// through validate_and_append, and on rejection the consumer half of
+  /// the ring's abort handshake — drain the speculative suffix, hand the
+  /// miner accepted_ as its recovery point — then recover_validator().
+  void validate_step(HandoffRing& ring, chain::Block block);
+
+  /// Rolls the validator back to accepted_: re-materializes its replica,
+  /// rewinds the read path to the surviving tip and counts the re-org.
+  void recover_validator();
 
   /// Throws std::logic_error when retain_snapshots == 0.
   void require_read_path() const;
@@ -403,6 +405,12 @@ class Node {
   std::unique_ptr<vm::World> miner_world_;
   vm::WorldSnapshot genesis_;  ///< Frozen before the miner's world moves.
   std::unique_ptr<vm::World> validator_world_;  ///< genesis_.materialize().
+  /// The recovery anchor: the last ACCEPTED boundary, a frozen fork of
+  /// validator_world_ with its verified root. Starts as genesis_, is
+  /// refreshed by every accepted block and outlives follower sessions.
+  /// Owned by the appending thread; the miner only ever sees a copy,
+  /// handed over through the ring's abort handshake.
+  vm::WorldSnapshot accepted_;
   Mempool mempool_;
   core::Miner miner_;  ///< The primary (lane 0) miner over miner_world_.
   core::Validator validator_;
@@ -427,9 +435,6 @@ class Node {
   /// The MOST RECENT rejection (failure_ keeps only the first; the
   /// follower Nacks every rejection with its own reason).
   std::optional<core::ValidationReport> last_rejection_;
-  /// Follower recovery anchor: the last ACCEPTED boundary, refreshed
-  /// after each appended block and persistent across sessions.
-  std::optional<vm::WorldSnapshot> follower_boundary_;
   std::optional<detect::DetectReport> first_detect_report_;
   std::atomic<bool> mining_done_{false};
   bool ran_ = false;

@@ -76,10 +76,10 @@ class World {
   /// original, and the first write to a page on either side detaches a
   /// private copy of just that page. Call between blocks only (no
   /// speculative action may be live). This is how one genesis state
-  /// serves both pipeline stages and how the depth-k ring affords a
-  /// frozen boundary snapshot per in-flight block: the miner keeps
-  /// mutating its world (peeling off the dirty pages) while validators,
-  /// re-org recovery and read serving share the frozen rest.
+  /// serves both pipeline stages and how the node affords a frozen
+  /// snapshot of every accepted boundary: the validator keeps mutating
+  /// its replica (peeling off the dirty pages) while re-org recovery and
+  /// read serving share the frozen rest.
   [[nodiscard]] std::unique_ptr<World> fork() const {
     auto replica = std::make_unique<World>(arena_);
     replica->contracts_ = contracts_.fork();
@@ -110,15 +110,15 @@ class World {
 /// is hashing, and state_root() does it at most once per snapshot, on
 /// first demand (or never, when the caller seeds a known root).
 ///
-/// This is the seam deeper pipelining builds on: the depth-k validation
-/// ring keeps one snapshot per in-flight block to re-derive a validator
-/// world after a re-org, and mid-block read serving answers queries from
-/// the last snapshot while the miner's world is in flux.
+/// This is the seam the node's recovery and read path build on: the last
+/// accepted boundary re-derives both stages' worlds after a re-org, and
+/// read serving answers queries from published boundaries while the
+/// stages' worlds are in flux.
 class WorldSnapshot {
  public:
-  /// An empty handle (valid() == false). Lets snapshot slots — a ring
-  /// entry whose pipeline runs with recovery disabled, a moved-from
-  /// handle — exist without a frozen world behind them.
+  /// An empty handle (valid() == false). Lets snapshot slots — a
+  /// default-constructed aggregate, a moved-from handle — exist without
+  /// a frozen world behind them.
   WorldSnapshot() = default;
 
   /// Freezes `world`'s current state as a shared-page fork. The original

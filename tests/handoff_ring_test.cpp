@@ -13,14 +13,14 @@
 namespace concord::node {
 namespace {
 
-/// A ring entry whose block carries `txs` dummy transactions under
-/// number `n` — enough structure for the drain accounting and ordering
-/// checks without a mined world behind it.
-InFlightBlock entry(std::uint64_t n, std::size_t txs = 0) {
-  InFlightBlock e;
-  e.block.header.number = n;
-  e.block.transactions.resize(txs);
-  return e;
+/// A ring entry: a block carrying `txs` dummy transactions under number
+/// `n` — enough structure for the drain accounting and ordering checks
+/// without a mined world behind it.
+chain::Block entry(std::uint64_t n, std::size_t txs = 0) {
+  chain::Block block;
+  block.header.number = n;
+  block.transactions.resize(txs);
+  return block;
 }
 
 // ------------------------------------------------------ Basic transport ---
@@ -40,7 +40,7 @@ TEST(HandoffRing, FifoUpToDepthWithoutBlocking) {
   for (std::uint64_t n = 1; n <= 3; ++n) {
     auto popped = ring.pop();
     ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(popped->block.header.number, n);
+    EXPECT_EQ(popped->header.number, n);
   }
   EXPECT_EQ(ring.size(), 0u);
 }
@@ -53,7 +53,7 @@ TEST(HandoffRing, CloseDrainsThenSignalsShutdown) {
   // The queued entry still reaches the consumer…
   auto popped = ring.pop();
   ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->block.header.number, 1u);
+  EXPECT_EQ(popped->header.number, 1u);
   // …then pop() turns into the shutdown signal, and pushes bounce.
   EXPECT_FALSE(ring.pop().has_value());
   EXPECT_EQ(ring.push(entry(2)), HandoffRing::PushOutcome::kClosed);
@@ -140,7 +140,7 @@ TEST(HandoffRing, ConcurrentStreamKeepsOrder) {
   HandoffRing ring(2);
   std::vector<std::uint64_t> seen;
   std::jthread consumer([&] {
-    while (auto popped = ring.pop()) seen.push_back(popped->block.header.number);
+    while (auto popped = ring.pop()) seen.push_back(popped->header.number);
   });
   for (std::uint64_t n = 0; n < kEntries; ++n) {
     ASSERT_EQ(ring.push(entry(n)), HandoffRing::PushOutcome::kDelivered);

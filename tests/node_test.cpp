@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -283,12 +284,18 @@ TEST(NodePipeline, RunTwiceThrows) {
 /// when the rejection happens, making the recovery tests deterministic.
 constexpr double kSlowValidatorNanosPerGas = 200.0;
 
+/// The read-path settings every recovery case runs under: off, and the
+/// default window. The recovery anchor is the accepted-boundary fork the
+/// read path publishes, so rollback must not depend on publishing it.
+constexpr std::array<std::size_t, 2> kRetainSnapshots{0, 8};
+
 /// A serial-mining pipelined node whose post-mine hook corrupts the
 /// published state root of the FIRST block mined as number
 /// `faulty_number` — the post-root-corrupting fault of the acceptance
 /// criterion. One-shot, so a block re-mined with the same number after
 /// recovery validates cleanly.
-NodeConfig faulty_node(const StreamSpec& spec, std::size_t depth, std::uint64_t faulty_number) {
+NodeConfig faulty_node(const StreamSpec& spec, std::size_t depth, std::uint64_t faulty_number,
+                       std::size_t retain_snapshots) {
   NodeConfig config;
   config.miner.nanos_per_gas = 0.0;
   config.validator.nanos_per_gas = kSlowValidatorNanosPerGas;
@@ -296,6 +303,7 @@ NodeConfig faulty_node(const StreamSpec& spec, std::size_t depth, std::uint64_t 
   config.pipelined = true;
   config.mining = MiningMode::kSerial;
   config.pipeline_depth = depth;
+  config.retain_snapshots = retain_snapshots;
   config.post_mine_hook = [faulty_number, fired = std::make_shared<bool>(false)](
                               chain::Block& block) {
     if (!*fired && block.header.number == faulty_number) {
@@ -314,54 +322,55 @@ NodeConfig faulty_node(const StreamSpec& spec, std::size_t depth, std::uint64_t 
 TEST(NodeRecovery, SuffixAbortTruncatesChainAtTheRejectionPoint) {
   const StreamSpec spec = stream_spec(BenchmarkKind::kMixed, /*blocks=*/6, /*txs_per_block=*/20,
                                       /*conflict=*/20);
-  // Depth ≥ remaining blocks: 3..6 all fit in flight behind block 2.
-  NodeConfig config = faulty_node(spec, /*depth=*/6, /*faulty_number=*/2);
-  // This test used to pin "all of 3..6 are in flight when 2's verdict
-  // lands" with a slow calibrated validator burn — a timing bet that
-  // TSan's scheduler occasionally lost (the verdict raced the ring
-  // fill, flaking aborted_blocks). Replace the bet with a barrier: the
-  // validator holds block 2 until the miner has drained the stream, so
-  // the suffix is in the ring by construction, at full speed, under any
-  // scheduler.
-  config.validator.nanos_per_gas = 0.0;
-  auto gate = std::make_shared<std::atomic<Node*>>(nullptr);
-  config.pre_validate_hook = [gate](const chain::Block& block) {
-    if (block.header.number != 2) return;
-    const Node* running = nullptr;
-    while ((running = gate->load(std::memory_order_acquire)) == nullptr ||
-           !running->mining_done()) {
-      std::this_thread::yield();
-    }
-  };
-  auto [node, stream] = make_node(spec, config);
-  gate->store(node.get(), std::memory_order_release);
-  drive(*node, std::move(stream));
-
-  // The rejection is reported — but it did not tear the node down; the
-  // run completed and the chain below the fault is intact.
-  ASSERT_FALSE(node->ok());
-  EXPECT_EQ(node->failure().reason, core::RejectReason::kStateRootMismatch);
-
   const chain::Blockchain reference = sequential_reference(spec);
-  ASSERT_EQ(node->chain().height(), 1u);
-  for (std::uint64_t n = 0; n <= 1; ++n) {
-    EXPECT_EQ(node->chain().at(n), reference.at(n)) << "block " << n << " diverged";
-  }
-  EXPECT_TRUE(node->chain().verify_links());
+  for (const std::size_t retain : kRetainSnapshots) {
+    SCOPED_TRACE("retain_snapshots=" + std::to_string(retain));
+    // Depth ≥ remaining blocks: 3..6 all fit in flight behind block 2.
+    NodeConfig config = faulty_node(spec, /*depth=*/6, /*faulty_number=*/2, retain);
+    // "All of 3..6 are in flight when 2's verdict lands" is pinned by a
+    // barrier, not a slow validator (a timing bet TSan's scheduler can
+    // lose): the validator holds block 2 until the miner has drained the
+    // stream, so the suffix is in the ring by construction, at full
+    // speed, under any scheduler.
+    config.validator.nanos_per_gas = 0.0;
+    auto gate = std::make_shared<std::atomic<Node*>>(nullptr);
+    config.pre_validate_hook = [gate](const chain::Block& block) {
+      if (block.header.number != 2) return;
+      const Node* running = nullptr;
+      while ((running = gate->load(std::memory_order_acquire)) == nullptr ||
+             !running->mining_done()) {
+        std::this_thread::yield();
+      }
+    };
+    auto [node, stream] = make_node(spec, config);
+    gate->store(node.get(), std::memory_order_release);
+    drive(*node, std::move(stream));
 
-  const NodeStats& stats = node->stats();
-  EXPECT_EQ(stats.rejected_blocks, 1u);
-  EXPECT_EQ(stats.aborted_blocks, 4u);  // Blocks 3..6, drained from the ring.
-  // The re-org completed (validator re-materialized) even though the
-  // miner — its stream already drained — never resumed mining.
-  EXPECT_EQ(stats.recoveries, 1u);
-  EXPECT_EQ(stats.blocks, 1u);
-  EXPECT_EQ(stats.transactions, 20u);
-  // Accounting closes: every consumed transaction either committed or
-  // was dropped by the re-org.
-  EXPECT_EQ(stats.dropped_transactions, 100u);
-  EXPECT_EQ(stats.transactions + stats.dropped_transactions, spec.total_transactions());
-  EXPECT_GE(stats.ring_high_water, 4u);
+    // The rejection is reported — but it did not tear the node down; the
+    // run completed and the chain below the fault is intact.
+    ASSERT_FALSE(node->ok());
+    EXPECT_EQ(node->failure().reason, core::RejectReason::kStateRootMismatch);
+
+    ASSERT_EQ(node->chain().height(), 1u);
+    for (std::uint64_t n = 0; n <= 1; ++n) {
+      EXPECT_EQ(node->chain().at(n), reference.at(n)) << "block " << n << " diverged";
+    }
+    EXPECT_TRUE(node->chain().verify_links());
+
+    const NodeStats& stats = node->stats();
+    EXPECT_EQ(stats.rejected_blocks, 1u);
+    EXPECT_EQ(stats.aborted_blocks, 4u);  // Blocks 3..6, drained from the ring.
+    // The re-org completed (validator re-materialized) even though the
+    // miner — its stream already drained — never resumed mining.
+    EXPECT_EQ(stats.recoveries, 1u);
+    EXPECT_EQ(stats.blocks, 1u);
+    EXPECT_EQ(stats.transactions, 20u);
+    // Accounting closes: every consumed transaction either committed or
+    // was dropped by the re-org.
+    EXPECT_EQ(stats.dropped_transactions, 100u);
+    EXPECT_EQ(stats.transactions + stats.dropped_transactions, spec.total_transactions());
+    EXPECT_GE(stats.ring_high_water, 4u);
+  }
 }
 
 /// The liveness half: after the re-org the node re-materializes the
@@ -371,18 +380,6 @@ TEST(NodeRecovery, SuffixAbortTruncatesChainAtTheRejectionPoint) {
 TEST(NodeRecovery, MiningResumesFromTheAcceptedBoundaryAfterRecovery) {
   const StreamSpec spec = stream_spec(BenchmarkKind::kMixed, /*blocks=*/6, /*txs_per_block=*/20,
                                       /*conflict=*/20);
-  // Depth 2, fault at block 2: while the slow validator chews block 2,
-  // the miner fills the ring with 3,4 and parks pushing 5. The re-org
-  // drains 3,4, fails the push of 5, and batch 6 — still in the mempool
-  // — is mined post-recovery as the new block 2.
-  auto [node, stream] = make_node(spec, faulty_node(spec, /*depth=*/2, /*faulty_number=*/2));
-  drive(*node, std::move(stream));
-
-  ASSERT_FALSE(node->ok());
-  EXPECT_EQ(node->failure().reason, core::RejectReason::kStateRootMismatch);
-  ASSERT_EQ(node->chain().height(), 2u);
-  EXPECT_TRUE(node->chain().verify_links());
-
   // Expected chain: batch 1, then batch 6 mined on the post-1 state —
   // the same fixture mined serially with the dropped window left out.
   auto ref = make_stream_fixture(spec);
@@ -396,38 +393,45 @@ TEST(NodeRecovery, MiningResumesFromTheAcceptedBoundaryAfterRecovery) {
   };
   expected.append(ref_miner.mine_serial(batch(0), expected.tip()));
   expected.append(ref_miner.mine_serial(batch(5), expected.tip()));
-  for (std::uint64_t n = 0; n <= 2; ++n) {
-    EXPECT_EQ(node->chain().at(n), expected.at(n)) << "block " << n << " diverged";
-  }
 
-  const NodeStats& stats = node->stats();
-  EXPECT_EQ(stats.rejected_blocks, 1u);
-  EXPECT_EQ(stats.aborted_blocks, 3u);  // 3,4 drained + 5 dropped at the failed push.
-  EXPECT_EQ(stats.recoveries, 1u);
-  EXPECT_EQ(stats.blocks, 2u);
-  EXPECT_EQ(stats.transactions, 40u);
-  EXPECT_EQ(stats.dropped_transactions, 80u);  // Batches 2,3,4,5.
-  EXPECT_EQ(stats.transactions + stats.dropped_transactions, spec.total_transactions());
-  EXPECT_GT(stats.recovery_ms, 0.0);
-  EXPECT_GT(stats.snapshot_ms, 0.0);
+  for (const std::size_t retain : kRetainSnapshots) {
+    SCOPED_TRACE("retain_snapshots=" + std::to_string(retain));
+    // Depth 2, fault at block 2: while the slow validator chews block 2,
+    // the miner fills the ring with 3,4 and parks pushing 5. The re-org
+    // drains 3,4, fails the push of 5, and batch 6 — still in the
+    // mempool — is mined post-recovery as the new block 2.
+    auto [node, stream] =
+        make_node(spec, faulty_node(spec, /*depth=*/2, /*faulty_number=*/2, retain));
+    drive(*node, std::move(stream));
+
+    ASSERT_FALSE(node->ok());
+    EXPECT_EQ(node->failure().reason, core::RejectReason::kStateRootMismatch);
+    ASSERT_EQ(node->chain().height(), 2u);
+    EXPECT_TRUE(node->chain().verify_links());
+    for (std::uint64_t n = 0; n <= 2; ++n) {
+      EXPECT_EQ(node->chain().at(n), expected.at(n)) << "block " << n << " diverged";
+    }
+
+    const NodeStats& stats = node->stats();
+    EXPECT_EQ(stats.rejected_blocks, 1u);
+    EXPECT_EQ(stats.aborted_blocks, 3u);  // 3,4 drained + 5 dropped at the failed push.
+    EXPECT_EQ(stats.recoveries, 1u);
+    EXPECT_EQ(stats.blocks, 2u);
+    EXPECT_EQ(stats.transactions, 40u);
+    EXPECT_EQ(stats.dropped_transactions, 80u);  // Batches 2,3,4,5.
+    EXPECT_EQ(stats.transactions + stats.dropped_transactions, spec.total_transactions());
+    EXPECT_GT(stats.recovery_ms, 0.0);
+    EXPECT_GT(stats.snapshot_ms, 0.0);
+  }
 }
 
-/// Sequential mode recovers too (no ring, no suffix — just the rejected
-/// block unwinding), and with one thread the whole scenario is
-/// timing-independent: batch 3 is dropped, everything else commits.
+/// Sequential mode recovers through the same path (no suffix in the
+/// ring — just the rejected block unwinding), and with one thread the
+/// whole scenario is timing-independent: batch 3 is dropped, everything
+/// else commits.
 TEST(NodeRecovery, SequentialModeDropsOnlyTheRejectedBatch) {
   const StreamSpec spec = stream_spec(BenchmarkKind::kMixed, /*blocks=*/6, /*txs_per_block=*/20,
                                       /*conflict=*/20);
-  NodeConfig config = faulty_node(spec, /*depth=*/1, /*faulty_number=*/3);
-  config.pipelined = false;
-  config.validator.nanos_per_gas = 0.0;  // No timing pin needed.
-  auto [node, stream] = make_node(spec, config);
-  drive(*node, std::move(stream));
-
-  ASSERT_FALSE(node->ok());
-  ASSERT_EQ(node->chain().height(), 5u);
-  EXPECT_TRUE(node->chain().verify_links());
-
   // Expected: batches 1,2,4,5,6 mined in order with batch 3 left out.
   auto ref = make_stream_fixture(spec);
   core::MinerConfig miner_config;
@@ -441,58 +445,55 @@ TEST(NodeRecovery, SequentialModeDropsOnlyTheRejectedBatch) {
   for (const std::size_t index : {0u, 1u, 3u, 4u, 5u}) {
     expected.append(ref_miner.mine_serial(batch(index), expected.tip()));
   }
-  for (std::uint64_t n = 0; n <= expected.height(); ++n) {
-    EXPECT_EQ(node->chain().at(n), expected.at(n)) << "block " << n << " diverged";
-  }
 
-  const NodeStats& stats = node->stats();
-  EXPECT_EQ(stats.rejected_blocks, 1u);
-  EXPECT_EQ(stats.aborted_blocks, 0u);  // No speculative suffix exists.
-  EXPECT_EQ(stats.recoveries, 1u);
-  EXPECT_EQ(stats.dropped_transactions, 20u);
-  EXPECT_EQ(stats.transactions, 100u);
+  for (const std::size_t retain : kRetainSnapshots) {
+    SCOPED_TRACE("retain_snapshots=" + std::to_string(retain));
+    NodeConfig config = faulty_node(spec, /*depth=*/1, /*faulty_number=*/3, retain);
+    config.pipelined = false;
+    config.validator.nanos_per_gas = 0.0;  // No timing pin needed.
+    // The hook fires for every block about to be validated, inline too.
+    std::size_t pre_validated = 0;
+    config.pre_validate_hook = [&pre_validated](const chain::Block&) { ++pre_validated; };
+    auto [node, stream] = make_node(spec, config);
+    drive(*node, std::move(stream));
+
+    ASSERT_FALSE(node->ok());
+    ASSERT_EQ(node->chain().height(), 5u);
+    EXPECT_TRUE(node->chain().verify_links());
+    for (std::uint64_t n = 0; n <= expected.height(); ++n) {
+      EXPECT_EQ(node->chain().at(n), expected.at(n)) << "block " << n << " diverged";
+    }
+    EXPECT_EQ(pre_validated, 6u);  // Once per mined block, the rejected one included.
+
+    const NodeStats& stats = node->stats();
+    EXPECT_EQ(stats.rejected_blocks, 1u);
+    EXPECT_EQ(stats.aborted_blocks, 0u);  // No speculative suffix exists.
+    EXPECT_EQ(stats.recoveries, 1u);
+    EXPECT_EQ(stats.dropped_transactions, 20u);
+    EXPECT_EQ(stats.transactions, 100u);
+  }
 }
 
 /// A fault in the FIRST block recovers to the genesis boundary — the
-/// one snapshot that was never taken per-block but frozen at
-/// construction.
+/// anchor frozen at construction, before any block was accepted.
 TEST(NodeRecovery, RecoveryFromTheGenesisBoundary) {
   const StreamSpec spec = stream_spec(BenchmarkKind::kBallot, /*blocks=*/3, /*txs_per_block=*/15,
                                       /*conflict=*/0);
-  NodeConfig config = faulty_node(spec, /*depth=*/1, /*faulty_number=*/1);
-  config.pipelined = false;
-  config.validator.nanos_per_gas = 0.0;
-  auto [node, stream] = make_node(spec, config);
-  drive(*node, std::move(stream));
+  for (const std::size_t retain : kRetainSnapshots) {
+    SCOPED_TRACE("retain_snapshots=" + std::to_string(retain));
+    NodeConfig config = faulty_node(spec, /*depth=*/1, /*faulty_number=*/1, retain);
+    config.pipelined = false;
+    config.validator.nanos_per_gas = 0.0;
+    auto [node, stream] = make_node(spec, config);
+    drive(*node, std::move(stream));
 
-  ASSERT_FALSE(node->ok());
-  ASSERT_EQ(node->chain().height(), 2u);
-  EXPECT_EQ(node->chain().at(0).header.state_root, node->genesis_snapshot().state_root());
-  EXPECT_TRUE(node->chain().verify_links());
-  EXPECT_EQ(node->stats().recoveries, 1u);
-  EXPECT_EQ(node->stats().dropped_transactions, 15u);
-}
-
-/// The legacy contract behind NodeConfig::halt_on_rejection: the first
-/// rejection stops the node — no recovery, no abort accounting, and
-/// (by construction) no per-block snapshot overhead.
-TEST(NodeRecovery, HaltOnRejectionStopsTheNodeLikeBefore) {
-  const StreamSpec spec = stream_spec(BenchmarkKind::kMixed, /*blocks=*/6, /*txs_per_block=*/20,
-                                      /*conflict=*/20);
-  NodeConfig config = faulty_node(spec, /*depth=*/4, /*faulty_number=*/2);
-  config.halt_on_rejection = true;
-  auto [node, stream] = make_node(spec, config);
-  drive(*node, std::move(stream));
-
-  ASSERT_FALSE(node->ok());
-  EXPECT_EQ(node->failure().reason, core::RejectReason::kStateRootMismatch);
-  EXPECT_EQ(node->chain().height(), 1u);
-  EXPECT_TRUE(node->mempool().closed());
-  const NodeStats& stats = node->stats();
-  EXPECT_EQ(stats.rejected_blocks, 1u);
-  EXPECT_EQ(stats.recoveries, 0u);
-  EXPECT_EQ(stats.aborted_blocks, 0u);
-  EXPECT_EQ(stats.snapshot_ms, 0.0);
+    ASSERT_FALSE(node->ok());
+    ASSERT_EQ(node->chain().height(), 2u);
+    EXPECT_EQ(node->chain().at(0).header.state_root, node->genesis_snapshot().state_root());
+    EXPECT_TRUE(node->chain().verify_links());
+    EXPECT_EQ(node->stats().recoveries, 1u);
+    EXPECT_EQ(node->stats().dropped_transactions, 15u);
+  }
 }
 
 // ------------------------------------------------ Construction guards ---
