@@ -12,15 +12,13 @@
 // for the next block's detaches to recycle.
 //
 // Metric definitions (all emitted per point):
-//  - sustained_tx_per_sec: transactions over the mining loop's wall time
-//    MINUS state-root publication time. The root is a full O(state)
-//    sort-and-hash that is byte-for-byte identical work with the arena
-//    on or off — including it would only compress the allocator
-//    ablation into hash noise at million-account scale. This is the
-//    state layer's honest sustained rate.
-//  - end_to_end_tx_per_sec: the same loop with root publication
-//    included (the number a full node would see; state_root_ms makes
-//    the difference explicit).
+//  - sustained_tx_per_sec: transactions over the mining loop's wall
+//    time, state-root publication included. The root is incremental
+//    (it rehashes only the pages a block dirtied), so it no longer
+//    drowns the rest of the loop and needs no separate figure.
+//  - state_root_ms: the per-run total of the miners' state-root time,
+//    part of the wall time above. Root cost follows the dirty set, so it
+//    should stay within a small factor between 100k and 1M accounts.
 //  - heap_allocs / heap_alloc_bytes: global operator new calls during
 //    the measured loop, counted by this binary's allocator shims. The
 //    arena turns per-page mallocs into pooled free-list hits, so
@@ -122,7 +120,7 @@ using namespace concord;
 /// One mining pass over the whole stream against a fresh replica.
 struct RunResult {
   double wall_ms = 0.0;       ///< Full loop, root publication included.
-  double root_ms = 0.0;       ///< Sum of per-block state-root time.
+  double root_ms = 0.0;       ///< Sum of per-block state-root time (part of wall_ms).
   std::uint64_t heap_allocs = 0;
   std::uint64_t heap_bytes = 0;
   core::MinerStats last;      ///< Stats after the final block.
@@ -131,24 +129,16 @@ struct RunResult {
 
 /// Aggregated point result across samples.
 struct PointResult {
-  util::TimingSummary state_wall;  ///< wall - root per run.
-  util::TimingSummary full_wall;   ///< wall per run.
-  double root_ms = 0.0;            ///< Mean per-run root total.
+  util::TimingSummary wall;       ///< Wall time per run.
+  double root_ms = 0.0;           ///< Mean per-run root total.
   double genesis_build_ms = 0.0;
   std::uint64_t genesis_heap_allocs = 0;
   RunResult last;
   util::Hash256 genesis_root;
   std::size_t transactions = 0;
 
-  [[nodiscard]] double state_tx_per_sec() const {
-    return state_wall.mean_ms > 0
-               ? static_cast<double>(transactions) * 1e3 / state_wall.mean_ms
-               : 0.0;
-  }
-  [[nodiscard]] double end_to_end_tx_per_sec() const {
-    return full_wall.mean_ms > 0
-               ? static_cast<double>(transactions) * 1e3 / full_wall.mean_ms
-               : 0.0;
+  [[nodiscard]] double tx_per_sec() const {
+    return wall.mean_ms > 0 ? static_cast<double>(transactions) * 1e3 / wall.mean_ms : 0.0;
   }
 };
 
@@ -227,23 +217,20 @@ PointResult measure_point(const workload::ZipfSpec& spec, std::size_t blocks,
   point.genesis_root = genesis.header.state_root;
   const vm::WorldSnapshot genesis_snap(*fixture.world, genesis.header.state_root);
 
-  std::vector<double> state_runs;
-  std::vector<double> full_runs;
+  std::vector<double> runs;
   double root_total = 0.0;
   int measured = 0;
   for (int r = 0; r < config.warmups + config.samples; ++r) {
     const RunResult run = run_block_loop(genesis_snap, genesis, fixture.transactions, blocks,
                                          block_txs, config, spec.accounts);
     if (r >= config.warmups) {
-      state_runs.push_back(run.wall_ms - run.root_ms);
-      full_runs.push_back(run.wall_ms);
+      runs.push_back(run.wall_ms);
       root_total += run.root_ms;
       ++measured;
     }
     point.last = run;
   }
-  point.state_wall = util::summarize_ms(state_runs);
-  point.full_wall = util::summarize_ms(full_runs);
+  point.wall = util::summarize_ms(runs);
   point.root_ms = measured > 0 ? root_total / measured : 0.0;
   return point;
 }
@@ -261,10 +248,9 @@ void emit_json(const workload::ZipfSpec& spec, std::size_t blocks, std::size_t b
          << ", \"blocks\": " << blocks
          << ", \"txs_per_block\": " << block_txs
          << ", \"transactions\": " << point.transactions
-         << ", \"sustained_tx_per_sec\": " << point.state_tx_per_sec()
-         << ", \"end_to_end_tx_per_sec\": " << point.end_to_end_tx_per_sec()
-         << ", \"wall_ms\": " << point.state_wall.mean_ms
-         << ", \"wall_stddev_ms\": " << point.state_wall.stddev_ms
+         << ", \"sustained_tx_per_sec\": " << point.tx_per_sec()
+         << ", \"wall_ms\": " << point.wall.mean_ms
+         << ", \"wall_stddev_ms\": " << point.wall.stddev_ms
          << ", \"state_root_ms\": " << point.root_ms
          << ", \"genesis_build_ms\": " << point.genesis_build_ms
          << ", \"genesis_heap_allocs\": " << point.genesis_heap_allocs
@@ -356,7 +342,7 @@ int main(int argc, char** argv) {
               blocks, block_txs, config.threads,
               config.nanos_per_gas > 0 ? "on" : "off");
   std::printf("# %-16s %9s %5s %6s %10s %12s %12s %12s %12s\n", "scenario", "accounts",
-              "skew", "arena", "build_ms", "state_tx/s", "e2e_tx/s", "heap_allocs",
+              "skew", "arena", "build_ms", "tx/s", "root_ms", "heap_allocs",
               "recycles");
 
   // Final roots keyed by (scenario, accounts, skew): the arena must be
@@ -385,10 +371,10 @@ int main(int argc, char** argv) {
 
           const PointResult point = measure_point(spec, blocks, block_txs, config);
 
-          std::printf("%-18s %9zu %5.2f %6s %10.0f %12.0f %12.0f %12llu %12llu\n",
+          std::printf("%-18s %9zu %5.2f %6s %10.0f %12.0f %12.2f %12llu %12llu\n",
                       std::string(workload::to_string(scenario)).c_str(), accounts, skew,
                       use_arena ? "on" : "off", point.genesis_build_ms,
-                      point.state_tx_per_sec(), point.end_to_end_tx_per_sec(),
+                      point.tx_per_sec(), point.root_ms,
                       static_cast<unsigned long long>(point.last.heap_allocs),
                       static_cast<unsigned long long>(point.last.last.arena.recycle_hits));
           std::fflush(stdout);

@@ -75,9 +75,8 @@ struct MinerStats {
   /// Arena counters of the mined world's lineage (all zero when the
   /// world runs the heap baseline). Snapshot at block assembly.
   vm::ArenaStats arena;
-  /// Time computing the block's state root during assembly. O(state),
-  /// not O(block): at million-account scale it dominates mine() wall
-  /// time, so benches that study the execution/state layer subtract it.
+  /// Time computing the block's state root during assembly: O(pages the
+  /// block dirtied) once the parent state's digests are cached.
   double state_root_ms = 0.0;
   /// ConcordSan violations found in this block (lockset + soundness);
   /// always 0 when MinerConfig::detect is off. Details live in

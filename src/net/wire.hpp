@@ -13,11 +13,12 @@
 
 namespace concord::net {
 
-/// Bumped whenever the frame payload encoding changes shape. Peers whose
-/// versions disagree cannot exchange blocks; the Hello handshake rejects
-/// the session up front instead of letting a decode error masquerade as
-/// a Byzantine peer later.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// Bumped whenever the frame payload encoding or the meaning of a field
+/// changes. Peers whose versions disagree cannot exchange blocks; the
+/// Hello handshake rejects the session up front instead of letting a
+/// decode error or a root mismatch masquerade as a Byzantine peer later.
+/// 2: header state roots use vm::World::kStateRootFormat 2.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Frame payload discriminator — the first payload byte of every frame.
 enum class MsgType : std::uint8_t {

@@ -483,10 +483,9 @@ bool Node::validate_and_append(chain::Block block) {
   // path's published boundary are this one fork. validate_parallel left
   // validator_world_ at exactly the post-block state and cross-checked
   // `root` against it, so the snapshot is verified state and seeding the
-  // root cache is sound (neither readers nor a recovery pay the O(state)
-  // hash). The fork is O(contracts), on the appending thread — the same
-  // thread for every publish and rewind, which is the ring's
-  // single-writer contract.
+  // root cache is sound (neither readers nor a recovery rehash). The
+  // fork is O(contracts), on the appending thread — the same thread for
+  // every publish and rewind, which is the ring's single-writer contract.
   const auto t_snapshot = Clock::now();
   accepted_ = vm::WorldSnapshot(*validator_world_, root);
   stats_.snapshot_ms += ms_since(t_snapshot);

@@ -18,7 +18,7 @@ namespace concord::node {
 
 /// One accepted block boundary as published to readers: the boundary's
 /// number and its frozen world (root seeded from the verified header, so
-/// readers never pay the O(state) hash). Readers hold these via
+/// readers never rehash). Readers hold these via
 /// shared_ptr — a held pointer IS a pin: eviction from the ring only
 /// drops the ring's reference, never the state under an active reader.
 struct PublishedBoundary {

@@ -67,6 +67,9 @@ class ByteWriter {
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
+  /// Empties the buffer but keeps its capacity, for writers reused in a loop.
+  void clear() noexcept { buf_.clear(); }
+
  private:
   std::vector<std::uint8_t> buf_;
 };

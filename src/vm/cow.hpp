@@ -1,14 +1,21 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "util/bytes.hpp"
+#include "util/sha256.hpp"
 #include "vm/arena.hpp"
+#include "vm/codec.hpp"
+#include "vm/state_hasher.hpp"
 
 namespace concord::vm {
 
@@ -45,7 +52,9 @@ namespace concord::vm {
 /// can only make a page spuriously look shared, forcing a harmless copy.
 /// The arena slots freed by that releasing thread re-enter circulation
 /// through PageArena's internal lock, so recycled memory is equally
-/// ordered.
+/// ordered. The one exception to "shared objects are immutable" is the
+/// digest cache inside CowPages' pages and directories, which is written
+/// through atomics (cow_detail::DigestCell, CowPages::Page).
 
 namespace cow_detail {
 
@@ -76,6 +85,86 @@ template <typename T>
   return true;
 }
 
+/// A digest cached inside a shared directory, one per internal node of the
+/// map digest's tree. Forks sharing the directory share the cell, so
+/// several threads may compute the same digest at once. publish() lets
+/// exactly one of them store it: an atomic claim, then the bytes, then
+/// the ready state. get() reads the bytes only after it sees that state.
+/// The copy constructor and clear() touch a cell no other thread can
+/// reach (an object under construction; an object its caller solely
+/// owns, after the ensure-unique check), so their stores are relaxed; the
+/// ownership handoff orders them.
+class DigestCell {
+ public:
+  DigestCell() = default;
+
+  /// Carries over a published digest (a directory copy keeps its
+  /// source's cache); an unpublished one starts empty.
+  DigestCell(const DigestCell& other) noexcept {
+    if (const util::Hash256* digest = other.get()) {
+      digest_ = *digest;
+      state_.store(kReady, std::memory_order_relaxed);
+    }
+  }
+  DigestCell& operator=(const DigestCell&) = delete;
+
+  [[nodiscard]] const util::Hash256* get() const noexcept {
+    return state_.load() == kReady ? &digest_ : nullptr;
+  }
+
+  /// First claimant stores; a thread that loses the claim keeps its copy.
+  void publish(const util::Hash256& digest) const noexcept {
+    std::uint8_t expected = kEmpty;
+    if (!state_.compare_exchange_strong(expected, kWriting)) return;
+    digest_ = digest;
+    state_.store(kReady);
+  }
+
+  void clear() noexcept { state_.store(kEmpty, std::memory_order_relaxed); }
+
+ private:
+  static constexpr std::uint8_t kEmpty = 0;
+  static constexpr std::uint8_t kWriting = 1;
+  static constexpr std::uint8_t kReady = 2;
+  mutable std::atomic<std::uint8_t> state_{kEmpty};
+  mutable util::Hash256 digest_{};
+};
+
+/// Fan-out of the map digest's internal nodes. Sixteen keeps the cached
+/// upper levels (which every directory copy carries) near 1/15 of the
+/// page count, while a dirty page's path to the root stays
+/// ~log16(pages) nodes long.
+inline constexpr std::size_t kDigestFanout = 16;
+
+/// Domain separation between leaf and internal preimages.
+inline constexpr std::uint8_t kLeafTag = 0x00;
+inline constexpr std::uint8_t kNodeTag = 0x01;
+
+/// Level sizes of a digest tree over `leaves` leaves: level 0 holds the
+/// leaves and each level above holds ceil(below / kDigestFanout) nodes,
+/// up to a single root. `offset` places levels ≥ 1 in a directory's flat
+/// node array, lowest level first.
+struct DigestShape {
+  /// 2^62 leaves need 16 internal levels, plus the leaf level.
+  static constexpr std::size_t kMaxLevels = 17;
+
+  explicit DigestShape(std::size_t leaves) noexcept {
+    count[0] = leaves;
+    levels = 1;
+    while (count[levels - 1] > 1) {
+      offset[levels] = internal;
+      count[levels] = (count[levels - 1] + kDigestFanout - 1) / kDigestFanout;
+      internal += count[levels];
+      ++levels;
+    }
+  }
+
+  std::size_t levels = 0;    ///< Including the leaf level; the root is levels - 1.
+  std::size_t internal = 0;  ///< Internal nodes over all levels.
+  std::array<std::size_t, kMaxLevels> count{};
+  std::array<std::size_t, kMaxLevels> offset{};
+};
+
 }  // namespace cow_detail
 
 /// A paged COW hash table: the map form all three boosted maps build on.
@@ -90,18 +179,30 @@ template <typename T>
 /// further write to an already-private page is as cheap as before the
 /// fork. Pages are small unsorted vectors searched linearly — at the
 /// target fill that beats a per-page hash table on both copy cost and
-/// memory, and iteration order never matters because the state hasher
-/// sorts by encoded key.
+/// memory, and iteration order never matters because digest() sorts each
+/// leaf by encoded key.
+///
+/// digest() is the map's contribution to the state root: a Merkle tree
+/// whose leaves are key-hash buckets. Each page caches its leaf digest
+/// and the directory caches the internal nodes (DigestCells), and every
+/// write clears the written page's digest and its path to the root.
+/// A block's root therefore rehashes only the pages it dirtied, and a
+/// digest computed through one fork serves every fork sharing the page or
+/// directory. The bucket count is a function of the entry count alone
+/// (pages_for(size())), so the digest never depends on history; when the
+/// directory is larger than that (reserve(), erasures, growth undone by an
+/// abort) it is hashed from the pages on a slow path that leaves the
+/// cache alone.
 template <typename K, typename V, typename Hash>
-class CowPages {
+class CowPages final : public HashableMap {
  public:
   CowPages() : CowPages(ArenaHandle{}) {}
 
   /// All allocations (pages, buffers, directories) go through `arena`;
   /// null = global heap.
   explicit CowPages(ArenaHandle arena) : arena_(std::move(arena)) {
-    dir_ = make_dir();
-    dir_->push_back(make_page());
+    dir_ = make_dir(1);
+    dir_->pages.push_back(make_page());
   }
 
   /// Copying IS forking: O(1), shares the directory and every page (and
@@ -124,11 +225,11 @@ class CowPages {
 
   [[nodiscard]] const ArenaHandle& arena() const noexcept { return arena_; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
 
   /// Number of pages in the directory (diagnostic; forks copy this many
   /// handles on their first post-fork write).
-  [[nodiscard]] std::size_t page_count() const noexcept { return dir_->size(); }
+  [[nodiscard]] std::size_t page_count() const noexcept { return dir_->pages.size(); }
 
   /// Pre-sizes the directory for `expected_entries` total entries, so a
   /// large genesis seed (the million-account workloads) runs without the
@@ -137,17 +238,12 @@ class CowPages {
   /// Never shrinks. Safe at any fill (entries are rehashed once); like
   /// every mutation it detaches from any fork sharing the directory.
   void reserve(std::size_t expected_entries) {
-    std::size_t target = 1;
-    while (target * kTargetFill < expected_entries &&
-           target < (std::size_t{1} << 62)) {
-      target <<= 1;
-    }
-    if (target > dir_->size()) rehash_to(target);
+    const std::size_t target = pages_for(expected_entries);
+    if (target > dir_->pages.size()) rehash_to(target);
   }
 
   [[nodiscard]] const V* find(const K& key) const {
-    const Page& page = *(*dir_)[page_index(key)];
-    for (const auto& entry : page) {
+    for (const Entry& entry : dir_->pages[page_index(key)]->entries) {
       if (entry.first == key) return &entry.second;
     }
     return nullptr;
@@ -157,34 +253,24 @@ class CowPages {
 
   void insert_or_assign(const K& key, V value) {
     Page& page = mutable_page_for(key);
-    for (auto& entry : page) {
-      if (entry.first == key) {
-        entry.second = std::move(value);
-        return;
-      }
-    }
-    if (grow_if_needed()) {
-      // The directory was rebuilt; the old page reference is stale.
-      mutable_page_for(key).emplace_back(key, std::move(value));
+    if (V* bound = find_in(page, key)) {
+      *bound = std::move(value);
     } else {
-      page.emplace_back(key, std::move(value));
+      (void)emplace_new(page, key, std::move(value));
     }
-    ++size_;
   }
 
-  /// Returns whether a binding existed.
+  /// Returns whether a binding existed. An absent key detaches nothing.
   bool erase(const K& key) {
-    Page& page = mutable_page_for(key);
-    for (auto& entry : page) {
-      if (entry.first == key) {
-        // Swap-remove; order within a page is free (the hasher sorts).
-        if (&entry != &page.back()) entry = std::move(page.back());
-        page.pop_back();
-        --size_;
-        return true;
-      }
-    }
-    return false;
+    if (!contains(key)) return false;
+    Entries& entries = mutable_page_for(key).entries;
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [&key](const Entry& entry) { return entry.first == key; });
+    // Swap-remove; order within a page is free (digest() sorts).
+    if (it != entries.end() - 1) *it = std::move(entries.back());
+    entries.pop_back();
+    --size_;
+    return true;
   }
 
   /// The read-modify-write primitive behind BoostedMap::update: detaches
@@ -193,33 +279,105 @@ class CowPages {
   /// `inserted` (optional) reports whether the fallback was used.
   V& get_or_emplace(const K& key, V fallback, bool* inserted = nullptr) {
     Page& page = mutable_page_for(key);
-    for (auto& entry : page) {
-      if (entry.first == key) {
-        if (inserted != nullptr) *inserted = false;
-        return entry.second;
-      }
-    }
-    if (inserted != nullptr) *inserted = true;
-    ++size_;
-    if (grow_if_needed()) {
-      Page& fresh = mutable_page_for(key);
-      return fresh.emplace_back(key, std::move(fallback)).second;
-    }
-    return page.emplace_back(key, std::move(fallback)).second;
+    V* bound = find_in(page, key);
+    if (inserted != nullptr) *inserted = bound == nullptr;
+    return bound != nullptr ? *bound : emplace_new(page, key, std::move(fallback));
   }
 
   /// Visits every entry as fn(const K&, const V&); unspecified order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& page : *dir_) {
-      for (const auto& entry : *page) fn(entry.first, entry.second);
+    for (const auto& page : dir_->pages) {
+      for (const Entry& entry : page->entries) fn(entry.first, entry.second);
     }
+  }
+
+  /// Merkle digest of the entry set (see the class comment). O(pages
+  /// written since the cached digests were computed) when the directory
+  /// has its canonical size, O(size) otherwise.
+  [[nodiscard]] util::Hash256 digest() const override {
+    const std::size_t buckets = pages_for(size_);
+    const cow_detail::DigestShape shape(buckets);
+    LeafScratch scratch;
+    return subtree_digest(shape, shape.levels - 1, 0, buckets == dir_->pages.size(), scratch);
+  }
+
+  void for_each_encoded(const EntryVisitor& visit) const override {
+    for_each([&visit](const K& key, const V& value) {
+      visit(encoded_bytes(key), encoded_bytes(value));
+    });
   }
 
  private:
   using Entry = std::pair<K, V>;
-  using Page = std::vector<Entry, ArenaAllocator<Entry>>;
-  using Dir = std::vector<std::shared_ptr<Page>, ArenaAllocator<std::shared_ptr<Page>>>;
+  using Entries = std::vector<Entry, ArenaAllocator<Entry>>;
+
+  /// One bucket of entries plus its cached leaf digest. The digest hangs
+  /// off a pointer so the page object stays in the arena's 64-byte class:
+  /// every directory copy and release touches each page's control block,
+  /// and doubling their footprint at a million accounts doubles that cost.
+  /// The pointer follows DigestCell's protocol: the first publisher's
+  /// compare-exchange installs its digest, a loser frees its own, and
+  /// only a sole owner clears it.
+  struct Page {
+    explicit Page(const ArenaHandle& arena) : entries(ArenaAllocator<Entry>(arena)) {}
+    /// Copies the entries only: the copy is about to be written.
+    Page(const Page& src, const ArenaHandle& arena)
+        : entries(src.entries, ArenaAllocator<Entry>(arena)) {}
+    Page(const Page&) = delete;
+    Page& operator=(const Page&) = delete;
+    ~Page() { clear_digest(); }
+
+    [[nodiscard]] const util::Hash256* cached_digest() const noexcept { return digest.load(); }
+
+    void publish_digest(const util::Hash256& value) const {
+      ArenaAllocator<util::Hash256> alloc(entries.get_allocator());
+      util::Hash256* fresh = std::construct_at(alloc.allocate(1), value);
+      util::Hash256* expected = nullptr;
+      if (!digest.compare_exchange_strong(expected, fresh)) alloc.deallocate(fresh, 1);
+    }
+
+    void clear_digest() noexcept {
+      if (util::Hash256* old = digest.exchange(nullptr, std::memory_order_relaxed)) {
+        ArenaAllocator<util::Hash256>(entries.get_allocator()).deallocate(old, 1);
+      }
+    }
+
+    Entries entries;
+    mutable std::atomic<util::Hash256*> digest{nullptr};  ///< Leaf digest, canonical layout only.
+  };
+
+  using PageRef = std::shared_ptr<Page>;
+
+  struct Dir {
+    Dir(std::size_t page_count, const ArenaHandle& arena)
+        : pages(ArenaAllocator<PageRef>(arena)),
+          nodes(cow_detail::DigestShape(page_count).internal,
+                ArenaAllocator<cow_detail::DigestCell>(arena)) {
+      pages.reserve(page_count);
+    }
+    /// Shares every page and keeps every published node digest.
+    Dir(const Dir& src, const ArenaHandle& arena)
+        : pages(src.pages, ArenaAllocator<PageRef>(arena)),
+          nodes(src.nodes, ArenaAllocator<cow_detail::DigestCell>(arena)) {}
+
+    /// Clears the cached digests above page `index` (the page's own cell
+    /// is the caller's).
+    void invalidate_path(std::size_t index) noexcept {
+      std::size_t offset = 0;
+      for (std::size_t count = pages.size(); count > 1;) {
+        index /= cow_detail::kDigestFanout;
+        count = (count + cow_detail::kDigestFanout - 1) / cow_detail::kDigestFanout;
+        nodes[offset + index].clear();
+        offset += count;
+      }
+    }
+
+    std::vector<PageRef, ArenaAllocator<PageRef>> pages;
+    /// Internal nodes of the digest tree over `pages`, laid out as
+    /// DigestShape(pages.size()) describes.
+    std::vector<cow_detail::DigestCell, ArenaAllocator<cow_detail::DigestCell>> nodes;
+  };
 
   /// Average entries per page before the directory doubles. Small enough
   /// that a post-fork detach copies a handful of entries; large enough
@@ -227,62 +385,165 @@ class CowPages {
   /// stays a fraction of the entry count.
   static constexpr std::size_t kTargetFill = 8;
 
-  [[nodiscard]] std::shared_ptr<Page> make_page() const {
-    return arena_make_shared<Page>(arena_, ArenaAllocator<Entry>(arena_));
+  /// The canonical page count for `entries` entries: the smallest power of
+  /// two that holds them at kTargetFill. Growth keeps the directory at
+  /// least this large.
+  [[nodiscard]] static std::size_t pages_for(std::size_t entries) noexcept {
+    std::size_t pages = 1;
+    while (pages * kTargetFill < entries && pages < (std::size_t{1} << 62)) pages <<= 1;
+    return pages;
   }
 
-  [[nodiscard]] std::shared_ptr<Page> copy_page(const Page& src) const {
-    return arena_make_shared<Page>(arena_, src, ArenaAllocator<Entry>(arena_));
+  [[nodiscard]] PageRef make_page() const { return arena_make_shared<Page>(arena_, arena_); }
+
+  [[nodiscard]] PageRef copy_page(const Page& src) const {
+    return arena_make_shared<Page>(arena_, src, arena_);
   }
 
-  [[nodiscard]] std::shared_ptr<Dir> make_dir() const {
-    return arena_make_shared<Dir>(arena_, ArenaAllocator<std::shared_ptr<Page>>(arena_));
+  [[nodiscard]] std::shared_ptr<Dir> make_dir(std::size_t page_count) const {
+    return arena_make_shared<Dir>(arena_, page_count, arena_);
   }
 
   [[nodiscard]] std::shared_ptr<Dir> copy_dir(const Dir& src) const {
-    return arena_make_shared<Dir>(arena_, src, ArenaAllocator<std::shared_ptr<Page>>(arena_));
+    return arena_make_shared<Dir>(arena_, src, arena_);
+  }
+
+  [[nodiscard]] static std::size_t slot_of(const K& key, std::size_t pages) noexcept {
+    return static_cast<std::size_t>(cow_detail::remix64(Hash{}(key))) & (pages - 1);
   }
 
   [[nodiscard]] std::size_t page_index(const K& key) const noexcept {
-    return static_cast<std::size_t>(cow_detail::remix64(Hash{}(key))) & (dir_->size() - 1);
+    return slot_of(key, dir_->pages.size());
   }
 
   /// Ensure-unique on write, both levels: private directory, then a
-  /// private copy of the page the key lands in.
+  /// private copy of the page the key lands in. Either way the page's
+  /// digest and its path are cleared, since the caller is about to write.
   Page& mutable_page_for(const K& key) {
     if (!cow_detail::sole_owner(dir_)) dir_ = copy_dir(*dir_);
-    auto& slot = (*dir_)[page_index(key)];
-    if (!cow_detail::sole_owner(slot)) slot = copy_page(*slot);
+    const std::size_t index = page_index(key);
+    PageRef& slot = dir_->pages[index];
+    if (cow_detail::sole_owner(slot)) {
+      slot->clear_digest();
+    } else {
+      slot = copy_page(*slot);
+    }
+    dir_->invalidate_path(index);
     return *slot;
   }
 
-  /// Doubles the directory when the average fill exceeds the target.
-  /// Returns true when pages moved (references into them are stale).
-  /// O(size) when it fires, amortized O(1) per insert — and it only runs
-  /// on a *growing* lineage, never as part of fork or snapshot.
-  bool grow_if_needed() {
-    if (size_ < dir_->size() * kTargetFill) return false;
-    rehash_to(dir_->size() * 2);
-    return true;
+  [[nodiscard]] static V* find_in(Page& page, const K& key) noexcept {
+    for (Entry& entry : page.entries) {
+      if (entry.first == key) return &entry.second;
+    }
+    return nullptr;
+  }
+
+  /// Binds an absent key into `page` (its detached page), doubling the
+  /// directory first when the average fill has reached the target — the
+  /// same threshold for every insert path, so growth alone keeps the
+  /// directory at pages_for(size()). The doubling is O(size), amortized
+  /// O(1) per insert, and only runs on a growing lineage, never as part
+  /// of fork or snapshot.
+  V& emplace_new(Page& page, const K& key, V value) {
+    Page* target = &page;
+    if (size_ >= dir_->pages.size() * kTargetFill) {
+      rehash_to(dir_->pages.size() * 2);
+      target = &mutable_page_for(key);  // The old page reference is stale.
+    }
+    ++size_;
+    return target->entries.emplace_back(key, std::move(value)).second;
   }
 
   /// Rebuilds the directory at `new_pages` slots (a power of two),
   /// redistributing every entry. Shared by the doubling path and
   /// reserve().
   void rehash_to(std::size_t new_pages) {
-    auto grown = make_dir();
-    grown->reserve(new_pages);
-    for (std::size_t i = 0; i < new_pages; ++i) {
-      grown->push_back(make_page());
-    }
-    for (const auto& page : *dir_) {
-      for (const auto& entry : *page) {
-        const std::size_t idx =
-            static_cast<std::size_t>(cow_detail::remix64(Hash{}(entry.first))) & (new_pages - 1);
-        (*grown)[idx]->push_back(entry);
+    auto grown = make_dir(new_pages);
+    for (std::size_t i = 0; i < new_pages; ++i) grown->pages.push_back(make_page());
+    for (const auto& page : dir_->pages) {
+      for (const Entry& entry : page->entries) {
+        grown->pages[slot_of(entry.first, new_pages)]->entries.push_back(entry);
       }
     }
     dir_ = std::move(grown);
+  }
+
+  /// Buffers one digest() call reuses for every leaf it hashes.
+  struct LeafScratch {
+    struct Item {
+      std::size_t key_begin, key_end, value_end;  ///< Offsets into `encoded`.
+    };
+    util::ByteWriter encoded;   ///< The bucket's keys and values, back to back.
+    std::vector<Item> items;
+    util::ByteWriter preimage;  ///< The leaf's hash input.
+  };
+
+  /// Digest of node `index` at `level` of the tree `shape` describes.
+  /// With `cached`, the directory is canonical and its cached digests are
+  /// read and filled; otherwise every node is computed from the pages.
+  [[nodiscard]] util::Hash256 subtree_digest(const cow_detail::DigestShape& shape,
+                                             std::size_t level, std::size_t index, bool cached,
+                                             LeafScratch& scratch) const {
+    if (level == 0) {
+      const Page* page = cached ? dir_->pages[index].get() : nullptr;
+      if (page != nullptr) {
+        if (const util::Hash256* hit = page->cached_digest()) return *hit;
+      }
+      const util::Hash256 digest = bucket_digest(index, shape.count[0], scratch);
+      if (page != nullptr) page->publish_digest(digest);
+      return digest;
+    }
+    const cow_detail::DigestCell* cell =
+        cached ? &dir_->nodes[shape.offset[level] + index] : nullptr;
+    if (cell != nullptr) {
+      if (const util::Hash256* hit = cell->get()) return *hit;
+    }
+    util::Sha256 sha;
+    sha.update(std::span(&cow_detail::kNodeTag, 1));
+    const std::size_t first = index * cow_detail::kDigestFanout;
+    const std::size_t last = std::min(first + cow_detail::kDigestFanout, shape.count[level - 1]);
+    for (std::size_t child = first; child < last; ++child) {
+      sha.update(subtree_digest(shape, level - 1, child, cached, scratch).bytes);
+    }
+    const util::Hash256 digest = sha.finish();
+    if (cell != nullptr) cell->publish(digest);
+    return digest;
+  }
+
+  /// Leaf digest of key-hash bucket `bucket` out of `buckets`: SHA-256
+  /// over the leaf tag, the entry count, and each entry's encoded key and
+  /// value, sorted by key. The bucket is the pages ≡ bucket (mod buckets),
+  /// one page when the directory is canonical.
+  [[nodiscard]] util::Hash256 bucket_digest(std::size_t bucket, std::size_t buckets,
+                                            LeafScratch& scratch) const {
+    util::ByteWriter& encoded = scratch.encoded;
+    auto& items = scratch.items;
+    encoded.clear();
+    items.clear();
+    for (std::size_t p = bucket; p < dir_->pages.size(); p += buckets) {
+      for (const Entry& entry : dir_->pages[p]->entries) {
+        const std::size_t key_begin = encoded.size();
+        encode_value(encoded, entry.first);
+        const std::size_t key_end = encoded.size();
+        encode_value(encoded, entry.second);
+        items.push_back({key_begin, key_end, encoded.size()});
+      }
+    }
+    const std::uint8_t* buf = encoded.bytes().data();
+    std::sort(items.begin(), items.end(), [buf](const auto& a, const auto& b) {
+      return std::lexicographical_compare(buf + a.key_begin, buf + a.key_end,
+                                          buf + b.key_begin, buf + b.key_end);
+    });
+    util::ByteWriter& leaf = scratch.preimage;
+    leaf.clear();
+    leaf.put_u8(cow_detail::kLeafTag);
+    leaf.put_varint(items.size());
+    for (const auto& item : items) {
+      leaf.put_bytes(std::span(buf + item.key_begin, item.key_end - item.key_begin));
+      leaf.put_bytes(std::span(buf + item.key_end, item.value_end - item.key_end));
+    }
+    return util::sha256(std::span<const std::uint8_t>(leaf.bytes()));
   }
 
   /// Owns the arena on behalf of every page below. Must stay declared

@@ -1,20 +1,16 @@
 #pragma once
 
-#include <algorithm>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "stm/lock_id.hpp"
 #include "stm/lock_mode.hpp"
 #include "stm/speculative_action.hpp"
 #include "vm/boosted_map.hpp"
-#include "vm/codec.hpp"
 #include "vm/cow.hpp"
 #include "vm/exec_context.hpp"
 #include "vm/gas.hpp"
@@ -162,34 +158,11 @@ class LazyMap {
     return overlays_.size();
   }
 
+  /// Committed state only; buffered overlays are not state. See
+  /// BoostedMap::hash_state.
   void hash_state(StateHasher& hasher, std::string_view label) const {
-    hasher.begin_section(label);
     std::scoped_lock lk(mu_);
-    // Flat-buffer fold, same as BoostedMap::hash_state: one encoding
-    // buffer + offset index instead of two heap vectors per entry.
-    util::ByteWriter flat;
-    struct Item {
-      std::size_t key_begin, key_end, value_end;
-    };
-    std::vector<Item> items;
-    items.reserve(data_.size());
-    data_.for_each([&flat, &items](const K& key, const V& value) {
-      const std::size_t key_begin = flat.size();
-      encode_value(flat, key);
-      const std::size_t key_end = flat.size();
-      encode_value(flat, value);
-      items.push_back(Item{key_begin, key_end, flat.size()});
-    });
-    const std::uint8_t* buf = flat.bytes().data();
-    std::sort(items.begin(), items.end(), [buf](const Item& a, const Item& b) {
-      return std::lexicographical_compare(buf + a.key_begin, buf + a.key_end,
-                                          buf + b.key_begin, buf + b.key_end);
-    });
-    hasher.put_u64(items.size());
-    for (const Item& item : items) {
-      hasher.put_bytes(std::span(buf + item.key_begin, item.key_end - item.key_begin));
-      hasher.put_bytes(std::span(buf + item.key_end, item.value_end - item.key_end));
-    }
+    hasher.put_map(label, data_);
   }
 
   [[nodiscard]] std::uint64_t space() const noexcept { return space_; }

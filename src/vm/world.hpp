@@ -62,11 +62,24 @@ class World {
     balances_.add(ctx, to, amount);
   }
 
-  /// Canonical digest of all persistent state; the block's state root.
-  [[nodiscard]] util::Hash256 state_root() const {
-    StateHasher hasher;
+  /// Layout of state_root(), folded in first so roots of different
+  /// layouts never compare equal. 1 was one flat SHA-256 over every map's
+  /// sorted entries; 2 folds each map's Merkle digest (CowPages::digest).
+  static constexpr std::uint64_t kStateRootFormat = 2;
+
+  /// Folds all persistent state into `hasher`, in a fixed order.
+  void hash_state(StateHasher& hasher) const {
+    hasher.put_u64(kStateRootFormat);
     contracts_.hash_state(hasher);
     balances_.hash_state(hasher, "__world/balances");
+  }
+
+  /// Canonical digest of all persistent state; the block's state root.
+  /// Incremental: a map rehashes only the pages written since its digests
+  /// were last computed, on this world or on any fork sharing the pages.
+  [[nodiscard]] util::Hash256 state_root() const {
+    StateHasher hasher;
+    hash_state(hasher);
     return hasher.finish();
   }
 
@@ -106,9 +119,10 @@ class World {
 /// at construction plus its (lazily computed) state root. Copying the
 /// handle shares the frozen fork; materialize() mints fresh mutable
 /// replicas — another fork, so both freezing and materializing cost
-/// O(contracts), not O(state). The only O(state) work left on this path
-/// is hashing, and state_root() does it at most once per snapshot, on
-/// first demand (or never, when the caller seeds a known root).
+/// O(contracts), not O(state). The only other work on this path is
+/// hashing: state_root() runs at most once per snapshot, on first demand
+/// (or never, when the caller seeds a known root), and rehashes only the
+/// pages no fork sharing them has hashed yet.
 ///
 /// This is the seam the node's recovery and read path build on: the last
 /// accepted boundary re-derives both stages' worlds after a re-org, and
@@ -129,7 +143,7 @@ class WorldSnapshot {
   /// Freezes `world` and seeds the root cache with `known_root` — for
   /// callers that froze at a boundary whose root is already computed and
   /// verified (the node snapshots right after a block carrying that very
-  /// root). Skips the O(state) hash entirely.
+  /// root). Skips the hash entirely.
   WorldSnapshot(const World& world, const util::Hash256& known_root)
       : frozen_(std::make_shared<Frozen>(world.fork())) {
     std::call_once(frozen_->once, [&] { frozen_->root = known_root; });

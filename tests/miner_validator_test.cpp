@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "contracts/token.hpp"
 #include "core/miner.hpp"
 #include "core/validator.hpp"
 #include "graph/happens_before.hpp"
+#include "stm/runtime.hpp"
+#include "stm/speculative_action.hpp"
+#include "vm/exec_context.hpp"
 #include "workload/workload.hpp"
 
 namespace concord::core {
@@ -410,6 +414,44 @@ TEST(MinerSerial, ResumeFromSnapshotReminesIdenticalBlock) {
   const chain::Block again = miner.mine_serial(fixture.transactions, parent);
   EXPECT_EQ(first, again);
   EXPECT_EQ(first.hash(), again.hash());
+}
+
+/// The root depends on the state, not on the miner's history: an aborted
+/// speculative mint doubled the miner's balance directory (the 65th holder
+/// of a table sized for 64) and left it doubled after the undo. The
+/// validator replays on a replica that never saw the attempt, so its
+/// directory kept its natural size, and it must reproduce the header root.
+TEST(MinerValidator, AbortedDirectoryGrowthKeepsTheRootReproducible) {
+  workload::ZipfSpec spec;
+  spec.accounts = 64;
+  spec.transactions = 40;
+  Fixture fixture = workload::make_zipf_fixture(spec);
+  const chain::Block genesis = fixture.genesis();
+  const vm::WorldSnapshot boundary(*fixture.world, genesis.header.state_root);
+
+  auto& token = fixture.world->contracts().as<contracts::Token>(fixture.token);
+  {
+    stm::BoostingRuntime runtime;
+    stm::SpeculativeAction attempt(runtime, 0, runtime.next_birth());
+    vm::ExecContext ctx = vm::ExecContext::speculative(
+        *fixture.world, runtime, attempt, vm::GasMeter(vm::gas::kDefaultTxGasLimit, 0.0));
+    ctx.push_msg(vm::MsgContext{token.issuer(), fixture.token, 0});
+    token.mint(ctx, vm::Address::from_u64(1'000'000, 0x77), 5);
+    ASSERT_EQ(token.holder_count(), spec.accounts + 1);
+    ctx.pop_msg();
+    attempt.abort();
+  }
+  ASSERT_EQ(token.holder_count(), spec.accounts);
+  ASSERT_EQ(fixture.world->state_root(), genesis.header.state_root);
+
+  Miner miner(*fixture.world, fast_miner());
+  const chain::Block block = miner.mine(fixture.transactions, genesis);
+  auto replica = boundary.materialize();
+  Validator validator(*replica, fast_validator());
+  const ValidationReport report = validator.validate_parallel(block);
+  EXPECT_TRUE(report.ok) << to_string(report.reason) << ": " << report.detail;
+  EXPECT_EQ(replica->state_root(), block.header.state_root);
+  EXPECT_EQ(fixture.world->state_root(), block.header.state_root);
 }
 
 }  // namespace

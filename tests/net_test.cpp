@@ -687,6 +687,30 @@ TEST(NetReplication, WrongChainHelloRefusedAtHandshake) {
   EXPECT_EQ(follower_node->stats().net_nacks_sent, 1u);
 }
 
+/// A peer on the previous protocol computes state roots in the previous
+/// format, so every block it sent would fail the root check. It is
+/// refused once, at the handshake, even when it names the right genesis.
+TEST(NetReplication, OldProtocolHelloRefusedAtHandshake) {
+  const StreamSpec spec = stream_spec(/*blocks=*/1, /*txs_per_block=*/6);
+  auto follower_node = make_follower(spec);
+  auto [follower_end, test_end] = PipeTransport::make_pair();
+  Peer follower_peer(std::move(follower_end), PeerConfig{.name = "follower"});
+  std::jthread follower_thread(
+      [&follower_node, &follower_peer] { follower_node->run_follower(follower_peer); });
+  FrameWriter to_follower(*test_end);
+  FrameReader from_follower(*test_end);
+  (void)expect_msg<Hello>(from_follower, "session opener");
+
+  send_msg(to_follower,
+           Message{Hello{kProtocolVersion - 1, follower_node->genesis_snapshot().state_root(), 5}});
+  const Nack nack = expect_msg<Nack>(from_follower, "old-protocol nack");
+  EXPECT_EQ(nack.reason, NackReason::kWrongChain);
+  EXPECT_EQ(nack.detail, "protocol version mismatch");
+  follower_thread.join();
+  EXPECT_EQ(follower_node->chain().height(), 0u);
+  EXPECT_EQ(follower_node->stats().net_nacks_sent, 1u);
+}
+
 // --------------------------------------------- Read-your-writes pin ---
 
 TEST(NetReadYourWrites, PinNoOlderThanWaitsForReplication) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,6 +20,8 @@
 #include "contracts/token.hpp"
 #include "core/miner.hpp"
 #include "vm/boosted_array.hpp"
+#include "vm/boosted_map.hpp"
+#include "vm/cow.hpp"
 #include "vm/exec_context.hpp"
 #include "vm/gas.hpp"
 #include "vm/world.hpp"
@@ -26,6 +31,36 @@ namespace concord::vm {
 namespace {
 
 Address addr(std::uint64_t n, std::uint8_t salt) { return Address::from_u64(n, salt); }
+
+/// The flat root format, kept as a test oracle: each map folds all of its
+/// entries, sorted by encoded key, straight into the one root hash. It
+/// shares no code with CowPages::digest, so it is an independent
+/// canonical encoding of the same abstract state: two worlds must have
+/// equal roots exactly when their flat roots are equal.
+class FlatOracleHasher final : public StateHasher {
+ public:
+  void put_map(std::string_view label, const HashableMap& map) override {
+    using Bytes = std::vector<std::uint8_t>;
+    std::vector<std::pair<Bytes, Bytes>> entries;
+    map.for_each_encoded(
+        [&entries](std::span<const std::uint8_t> key, std::span<const std::uint8_t> value) {
+          entries.emplace_back(Bytes(key.begin(), key.end()), Bytes(value.begin(), value.end()));
+        });
+    std::sort(entries.begin(), entries.end());
+    begin_section(label);
+    put_u64(entries.size());
+    for (const auto& [key, value] : entries) {
+      put_bytes(key);
+      put_bytes(value);
+    }
+  }
+};
+
+util::Hash256 flat_root(const World& world) {
+  FlatOracleHasher hasher;
+  world.hash_state(hasher);
+  return hasher.finish();
+}
 
 const Address kBallotAddr = addr(1, 0xCC);
 const Address kAuctionAddr = addr(2, 0xCC);
@@ -38,8 +73,8 @@ const Address kLazyKvAddr = addr(7, 0xCC);
 /// One world holding every contract the repository ships — both KvStore
 /// backends included — with non-trivial state in every boosted field
 /// kind (map, counter map, scalar, lazy map) plus native balances.
-std::unique_ptr<World> make_six_contract_world() {
-  auto world = std::make_unique<World>();
+std::unique_ptr<World> make_six_contract_world(bool use_arena = true) {
+  auto world = std::make_unique<World>(use_arena ? make_arena() : ArenaHandle{});
 
   auto ballot = std::make_unique<contracts::Ballot>(
       kBallotAddr, addr(1, 0x04), std::vector<std::string>{"alpha", "beta"});
@@ -73,6 +108,10 @@ std::unique_ptr<World> make_six_contract_world() {
   world->contracts().add(std::move(lazy_kv));
 
   world->balances().raw_set(addr(20, 0x06), 9'000);
+  // Enough native balances for a digest tree two internal levels deep.
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    world->balances().raw_set(addr(5'000 + i, 0x06), static_cast<Amount>(i + 1));
+  }
   return world;
 }
 
@@ -154,16 +193,25 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, WorldForkWorkloads,
 /// One raw mutation against the six-contract world, replayable: the fuzz
 /// compares every forked lineage against a reference world rebuilt from
 /// genesis + its mutation log, so any page aliasing between lineages (a
-/// write leaking through a shared page, a detach losing entries) shows
-/// up as a root mismatch.
+/// write leaking through a shared page, a detach losing entries, a stale
+/// cached digest) shows up as a root mismatch.
 struct Mutation {
   std::uint64_t op = 0;
   std::uint64_t a = 0;
   std::int64_t b = 0;
 };
 
+/// Kinds 0–7 change the abstract state. Kinds 8 and 9 change only a
+/// map's directory size (a reserve; a run of inserts that doubles the
+/// directory and is then erased), so they must leave every root as it
+/// was, and the replay reference skips them. The native balances keep
+/// their natural size, so writes to them exercise the cached digest path.
+constexpr std::uint64_t kMutationKinds = 10;
+
+bool layout_only(const Mutation& m) { return m.op % kMutationKinds >= 8; }
+
 void apply_mutation(World& world, const Mutation& m) {
-  switch (m.op % 8) {
+  switch (m.op % kMutationKinds) {
     case 0:
       world.contracts().as<contracts::Token>(kTokenAddr).raw_mint(addr(m.a % 37, 0x05),
                                                                   1 + (m.b % 999));
@@ -189,10 +237,29 @@ void apply_mutation(World& world, const Mutation& m) {
       world.contracts().as<contracts::EtherDoc>(kEtherDocAddr)
           .raw_add_document(m.a % 29, addr(static_cast<std::uint64_t>(m.b) % 37, 0x03));
       break;
-    default:
+    case 7:
       world.contracts().as<contracts::Ballot>(kBallotAddr)
           .raw_register_voter(addr(m.a % 37, 0x01), 1 + (m.b % 5));
       break;
+    case 8: {
+      const std::size_t entries = 64 + m.a % 4096;
+      if (m.b % 3 == 2) {
+        world.contracts().as<contracts::Token>(kTokenAddr).raw_reserve(entries);
+      } else {
+        world.contracts().as<contracts::KvStore>(m.b % 3 == 0 ? kEagerKvAddr : kLazyKvAddr)
+            .raw_reserve(entries);
+      }
+      break;
+    }
+    default: {
+      // More fresh holders than the map holds doubles its directory at
+      // its natural size; a zero balance erases each one again.
+      auto& token = world.contracts().as<contracts::Token>(kTokenAddr);
+      const std::size_t fresh = token.holder_count() + 9 + m.a % 64;
+      for (std::size_t i = 0; i < fresh; ++i) token.raw_set_balance(addr(i, 0x07), 1);
+      for (std::size_t i = 0; i < fresh; ++i) token.raw_set_balance(addr(i, 0x07), 0);
+      break;
+    }
   }
 }
 
@@ -202,10 +269,15 @@ struct Lineage {
   std::vector<Mutation> log;
 };
 
-util::Hash256 replay_reference_root(const std::vector<Mutation>& log) {
-  const auto reference = make_six_contract_world();
-  for (const Mutation& m : log) apply_mutation(*reference, m);
-  return reference->state_root();
+/// A fresh world carrying `log`'s state changes: no cached digest and no
+/// layout-only history, so its root is computed from scratch over
+/// naturally sized directories.
+std::unique_ptr<World> replay_reference(const std::vector<Mutation>& log) {
+  auto reference = make_six_contract_world();
+  for (const Mutation& m : log) {
+    if (!layout_only(m)) apply_mutation(*reference, m);
+  }
+  return reference;
 }
 
 TEST(WorldForkFuzz, InterleavedForkMutateMatchesEagerReplayReference) {
@@ -218,8 +290,11 @@ TEST(WorldForkFuzz, InterleavedForkMutateMatchesEagerReplayReference) {
     return rng;
   };
 
+  // Two genesis lineages, arena on and off: the same state on different
+  // allocators must hash alike.
   std::vector<Lineage> pool;
-  pool.push_back(Lineage{make_six_contract_world(), {}});
+  pool.push_back(Lineage{make_six_contract_world(/*use_arena=*/true), {}});
+  pool.push_back(Lineage{make_six_contract_world(/*use_arena=*/false), {}});
 
   for (int step = 0; step < kSteps; ++step) {
     const std::uint64_t r = next();
@@ -236,13 +311,75 @@ TEST(WorldForkFuzz, InterleavedForkMutateMatchesEagerReplayReference) {
       pool[pick].log.push_back(m);
     }
 
-    // Every lineage must equal an eagerly-rebuilt reference at every
-    // step: no write may leak into (or be lost from) a sibling.
+    // Every lineage's root, computed through the digests it and its
+    // relatives cached in earlier steps, must equal its reference's
+    // root computed from scratch: no write may leak into (or be lost
+    // from) a sibling, and no cached digest may go stale.
+    std::vector<util::Hash256> roots;
+    std::vector<util::Hash256> flats;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      ASSERT_EQ(pool[i].world->state_root(), replay_reference_root(pool[i].log))
+      const auto reference = replay_reference(pool[i].log);
+      roots.push_back(pool[i].world->state_root());
+      flats.push_back(flat_root(*pool[i].world));
+      ASSERT_EQ(roots[i], reference->state_root())
           << "lineage " << i << " diverged from its replay reference after step " << step;
+      ASSERT_EQ(flats[i], flat_root(*reference)) << "lineage " << i << " after step " << step;
+    }
+    // And the root is a function of the state the flat oracle sees.
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      for (std::size_t j = i + 1; j < pool.size(); ++j) {
+        ASSERT_EQ(roots[i] == roots[j], flats[i] == flats[j])
+            << "lineages " << i << " and " << j << " after step " << step;
+      }
     }
   }
+}
+
+/// CowPages at four directory sizes holding one entry set: grown
+/// naturally, reserved far ahead, doubled by inserts that were then
+/// erased, and arena-backed. Only the first has the canonical size (and
+/// uses the digest cache); all four must produce one digest.
+TEST(WorldForkFuzz, SameEntriesInAnyDirectorySizeGiveOneDigest) {
+  using Pages = CowPages<std::uint64_t, std::int64_t, StableKeyHash>;
+  constexpr std::uint64_t kEntries = 300;
+  const auto fill = [](Pages& pages) {
+    for (std::uint64_t k = 0; k < kEntries; ++k) {
+      pages.insert_or_assign(k, static_cast<std::int64_t>(k) * 3);
+    }
+  };
+
+  Pages grown;
+  fill(grown);
+  Pages reserved;
+  reserved.reserve(100'000);
+  fill(reserved);
+  Pages doubled;
+  fill(doubled);
+  const std::size_t natural_pages = doubled.page_count();
+  std::uint64_t extra = kEntries;
+  while (doubled.page_count() == natural_pages) doubled.insert_or_assign(extra++, 1);
+  for (std::uint64_t k = kEntries; k < extra; ++k) ASSERT_TRUE(doubled.erase(k));
+  Pages pooled(make_arena());
+  fill(pooled);
+
+  ASSERT_EQ(doubled.size(), kEntries);
+  EXPECT_GT(reserved.page_count(), grown.page_count());
+  EXPECT_GT(doubled.page_count(), grown.page_count());
+  const util::Hash256 digest = grown.digest();
+  EXPECT_EQ(grown.digest(), digest);  // Second call: served from the cache.
+  EXPECT_EQ(reserved.digest(), digest);
+  EXPECT_EQ(doubled.digest(), digest);
+  EXPECT_EQ(pooled.digest(), digest);
+
+  // A fork shares the cached digests; a write through it changes its own
+  // digest and leaves the original's alone.
+  Pages fork = grown.fork();
+  EXPECT_EQ(fork.digest(), digest);
+  fork.insert_or_assign(7, 22);
+  EXPECT_NE(fork.digest(), digest);
+  EXPECT_EQ(grown.digest(), digest);
+  fork.insert_or_assign(7, 21);
+  EXPECT_EQ(fork.digest(), digest);
 }
 
 // ----------------------------------------------- BoostedArray fork -------
@@ -409,6 +546,54 @@ TEST(WorldForkConcurrency, SharedFrozenPagesServeConcurrentMaterializeAndWrites)
   }
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(boundary.state_root(), frozen_root);
+}
+
+/// The TSan target for the digest cache: pages and a directory whose
+/// digests nobody has computed yet, shared by four forks. Three threads
+/// race to fill the same cache cells while the fourth writes, which
+/// copies the directory (and its cells) out from under them. Every root
+/// must equal the from-scratch root of an independently built world.
+TEST(WorldForkConcurrency, RootsRacingOnColdSharedPagesMatchTheOracle) {
+  constexpr std::uint64_t kAccounts = 2'048;
+  const auto seeded = [] {
+    auto world = make_six_contract_world();
+    for (std::uint64_t i = 0; i < kAccounts; ++i) {
+      world->balances().raw_set(addr(1'000 + i, 0x06), static_cast<Amount>(i + 1));
+    }
+    return world;
+  };
+  const auto write = [](World& world) {
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      world.balances().raw_set(addr(1'000 + (i * 7) % kAccounts, 0x06), -7);
+    }
+  };
+  const auto reference = seeded();
+  const util::Hash256 expected = reference->state_root();
+  write(*reference);
+  const util::Hash256 expected_written = reference->state_root();
+
+  const auto cold = seeded();  // No root computed: every cache cell is empty.
+  std::vector<std::unique_ptr<World>> forks;
+  for (int f = 0; f < 4; ++f) forks.push_back(cold->fork());
+
+  std::vector<util::Hash256> roots(3);
+  util::Hash256 written_root;
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < roots.size(); ++t) {
+      threads.emplace_back([&forks, &roots, t] {
+        for (int round = 0; round < 3; ++round) roots[t] = forks[t]->state_root();
+      });
+    }
+    threads.emplace_back([&forks, &write, &written_root] {
+      write(*forks[3]);
+      written_root = forks[3]->state_root();
+    });
+  }
+  for (const util::Hash256& root : roots) EXPECT_EQ(root, expected);
+  EXPECT_EQ(written_root, expected_written);
+  EXPECT_EQ(cold->state_root(), expected);
+  EXPECT_EQ(flat_root(*cold), flat_root(*seeded()));
 }
 
 }  // namespace
