@@ -18,9 +18,10 @@ Miner::Miner(vm::World& world, MinerConfig config)
 void Miner::bind_arena_stripe() {
   if (affinity_width_ == 0) return;
   // One bind per (thread, miner): pool workers live as long as the miner,
-  // so after the first task this is a single thread_local compare. Lane
-  // orchestration threads are fresh per block and re-bind each time —
-  // the cursor keeps rotating them through the miner's stripe slice.
+  // so after the first task this is a single thread_local compare. The
+  // node's lane-pool workers serve a different lane miner from block to
+  // block and re-bind whenever they switch — the cursor keeps rotating
+  // them through each miner's stripe slice.
   static thread_local const Miner* bound_for = nullptr;
   static thread_local unsigned bound_value = 0;
   if (bound_for != this) {
@@ -36,14 +37,10 @@ void Miner::run_speculative(const std::vector<chain::Transaction>& txs,
                             std::vector<vm::TxStatus>& statuses,
                             std::vector<stm::AccessRecorder>& logs) {
   const auto n = static_cast<std::uint32_t>(txs.size());
-  bind_arena_stripe();  // The orchestrating thread assembles/seals here too.
+  bind_arena_stripe();  // The calling thread assembles here too.
   runtime_.reset();  // "When a miner starts a block, it sets these counters to zero."
   stats_ = MinerStats{};
   stats_.transactions = n;
-  {
-    std::scoped_lock lk(error_mu_);
-    worker_error_.clear();
-  }
 
   profiles.assign(n, stm::LockProfile{});
   statuses.assign(n, vm::TxStatus::kSuccess);
@@ -55,30 +52,15 @@ void Miner::run_speculative(const std::vector<chain::Transaction>& txs,
   logs.clear();
   logs.resize(config_.detect ? n : 0);
 
-  for (std::uint32_t i = 0; i < n; ++i) {
-    pool_.submit([this, i, &txs, &profiles, &statuses, &attempts, &aborts, &logs] {
-      // Pool tasks must not throw: capture harness failures for rethrow.
-      try {
-        bind_arena_stripe();
-        SpeculativeOutcome outcome =
-            engine_.execute_speculative(runtime_, i, txs[i], config_.max_attempts,
-                                        logs.empty() ? nullptr : &logs[i]);
-        profiles[i] = std::move(outcome.profile);
-        statuses[i] = outcome.status;
-        attempts.fetch_add(outcome.attempts, std::memory_order_relaxed);
-        aborts.fetch_add(outcome.aborts, std::memory_order_relaxed);
-      } catch (const std::exception& e) {
-        std::scoped_lock lk(error_mu_);
-        if (worker_error_.empty()) worker_error_ = e.what();
-      }
-    });
-  }
-  pool_.wait_idle();
-
-  {
-    std::scoped_lock lk(error_mu_);
-    if (!worker_error_.empty()) throw std::runtime_error("miner worker failed: " + worker_error_);
-  }
+  pool_.run_batch(n, [&](std::uint32_t i) {
+    bind_arena_stripe();
+    SpeculativeOutcome outcome = engine_.execute_speculative(
+        runtime_, i, txs[i], config_.max_attempts, logs.empty() ? nullptr : &logs[i]);
+    profiles[i] = std::move(outcome.profile);
+    statuses[i] = outcome.status;
+    attempts.fetch_add(outcome.attempts, std::memory_order_relaxed);
+    aborts.fetch_add(outcome.aborts, std::memory_order_relaxed);
+  });
 
   stats_.attempts = attempts.load(std::memory_order_relaxed);
   stats_.conflict_aborts = aborts.load(std::memory_order_relaxed);
@@ -190,6 +172,7 @@ Miner::LaneResult Miner::mine_lane_serial(const std::vector<chain::Transaction>&
 chain::Block Miner::seal_merged(chain::ShardMergeResult merged,
                                 std::vector<stm::AccessRecorder> lane0_logs,
                                 const chain::Block& parent) {
+  bind_arena_stripe();  // Lane 0 may have run on another thread.
   const std::size_t n = merged.transactions.size();
   std::vector<stm::AccessRecorder> logs(config_.detect ? n : 0);
 

@@ -10,7 +10,7 @@
 #include "chain/transaction.hpp"
 #include "core/execution_engine.hpp"
 #include "detect/detect.hpp"
-#include "sched/thread_pool.hpp"
+#include "sched/fork_join.hpp"
 #include "stm/runtime.hpp"
 #include "vm/gas.hpp"
 #include "vm/world.hpp"
@@ -19,9 +19,10 @@ namespace concord::core {
 
 /// Miner tuning knobs.
 struct MinerConfig {
-  /// Speculative worker threads. The paper uses 3 ("a fixed pool of three
-  /// threads, leaving one core available for garbage collection and other
-  /// system processes").
+  /// Speculative worker threads (at least 1). The paper uses 3 ("a fixed
+  /// pool of three threads, leaving one core available for garbage
+  /// collection and other system processes"); its Java ExecutorService
+  /// pool is here an edgeless job on a sched::ForkJoinPool.
   unsigned threads = 3;
   /// Wall-clock weight of gas (see vm::GasMeter); benches override this to
   /// scale per-transaction work.
@@ -85,9 +86,11 @@ struct MinerStats {
 };
 
 /// The paper's miner. mine() implements Algorithm 1: execute the block's
-/// transactions as speculative actions on a thread pool, record lock
-/// profiles, derive the happens-before graph, topologically sort it into
-/// the equivalent serial order, and publish everything in the block.
+/// transactions as speculative actions on the miner's pool (one edgeless
+/// fork-join job per block, standing in for §6.1's ExecutorService),
+/// record lock profiles, derive the happens-before graph, topologically
+/// sort it into the equivalent serial order, and publish everything in
+/// the block.
 ///
 /// mine_serial() is the serial miner: it executes transactions one at a
 /// time in block order (no locks, no speculation) and publishes the
@@ -183,7 +186,8 @@ class Miner {
  private:
   /// Shared body of mine()/mine_lane(): speculative pool execution over
   /// `txs`, filling profiles/statuses/logs (logs sized only when detect
-  /// is on) and the execution-side stats counters.
+  /// is on) and the execution-side stats counters. A task's exception
+  /// propagates once the whole batch has run.
   void run_speculative(const std::vector<chain::Transaction>& txs,
                        std::vector<stm::LockProfile>& profiles,
                        std::vector<vm::TxStatus>& statuses,
@@ -217,7 +221,7 @@ class Miner {
   MinerConfig config_;
   ExecutionEngine engine_;
   stm::BoostingRuntime runtime_;
-  sched::ThreadPool pool_;
+  sched::ForkJoinPool pool_;
   MinerStats stats_;
   detect::DetectReport detect_report_;
 
@@ -226,10 +230,6 @@ class Miner {
   unsigned affinity_base_ = 0;
   unsigned affinity_width_ = 0;  ///< 0 = no affinity (global round-robin).
   std::atomic<unsigned> affinity_cursor_{0};
-
-  // Worker-error capture (pool tasks must not throw).
-  std::mutex error_mu_;
-  std::string worker_error_;
 };
 
 }  // namespace concord::core

@@ -100,14 +100,14 @@ ValidationReport Validator::validate_parallel(const chain::Block& block) {
 
   std::vector<vm::TxStatus> statuses(n, vm::TxStatus::kSuccess);
   std::atomic<bool> profile_mismatch{false};
-  std::atomic<bool> task_failed{false};
 
   // Algorithm 2: each transaction's task joins its happens-before
   // predecessors (dependency counting in the pool) and then re-executes
   // the transaction, recording thread-locally the locks it would have
-  // acquired.
-  pool_.run_dag(n, preds, succs, [&](std::uint32_t i) {
-    try {
+  // acquired. A replay that throws still lets the DAG drain; the pool
+  // rethrows here afterwards.
+  try {
+    pool_.run_dag(n, preds, succs, [&](std::uint32_t i) {
       vm::TraceRecorder trace;
       statuses[i] = engine_.execute_traced(block.transactions[i], trace);
       const stm::LockProfile& expected = block.schedule.profiles[i];
@@ -115,18 +115,15 @@ ValidationReport Validator::validate_parallel(const chain::Block& block) {
       if (!trace.matches(expected) || expected.reverted != reverted) {
         profile_mismatch.store(true, std::memory_order_relaxed);
       }
-    } catch (...) {
-      task_failed.store(true, std::memory_order_relaxed);
-    }
-  });
-  report.replayed = n;
-  report.steals = pool_.steal_count();
-
-  if (task_failed.load()) {
+    });
+  } catch (...) {
     report.reason = RejectReason::kProfileMismatch;
     report.detail = "replay task raised an unexpected error";
-    return report;
   }
+  report.replayed = n;
+  report.steals = pool_.steal_count();
+  if (report.reason != RejectReason::kNone) return report;
+
   // "At the end of the execution, the validator's VM compares the traces
   // it generated with the lock profiles provided by the miner. If they
   // differ, the block is rejected."

@@ -35,12 +35,15 @@ struct ValidationReport {
   RejectReason reason = RejectReason::kNone;
   std::string detail;            ///< Human-readable specifics (first failure).
   std::uint64_t replayed = 0;    ///< Transactions re-executed.
-  std::uint64_t steals = 0;      ///< Work-stealing steals during replay.
+  /// The validator pool's steal count after this replay: cumulative over
+  /// the validator's lifetime, not per block — diff consecutive reports
+  /// for a block's own steals.
+  std::uint64_t steals = 0;
 };
 
 /// Validator tuning knobs.
 struct ValidatorConfig {
-  unsigned threads = 3;  ///< Matches the paper's evaluation setup.
+  unsigned threads = 3;  ///< At least 1; 3 matches the paper's evaluation setup.
   double nanos_per_gas = vm::GasMeter::kDefaultNanosPerGas;
   /// Must match the mining-side MinerConfig::exclusive_locks_only.
   bool exclusive_locks_only = false;

@@ -40,6 +40,9 @@ NodeConfig require_config(NodeConfig config) {
   if (config.mine_shards == 0) {
     throw std::invalid_argument("node: mine_shards must be >= 1");
   }
+  if (config.miner.threads == 0 || config.validator.threads == 0) {
+    throw std::invalid_argument("node: miner and validator threads must be >= 1");
+  }
   return config;
 }
 
@@ -65,6 +68,9 @@ Node::Node(std::unique_ptr<vm::World> world, NodeConfig config)
   for (std::uint32_t s = 1; s < config_.mine_shards; ++s) {
     shard_worlds_.push_back(genesis_.materialize());
     shard_miners_.push_back(std::make_unique<core::Miner>(*shard_worlds_.back(), config_.miner));
+  }
+  if (config_.mine_shards > 1) {
+    lane_pool_ = std::make_unique<sched::ForkJoinPool>(config_.mine_shards);
   }
 
   // Per-shard arena affinity: concurrent lane miners each recycle pages
@@ -410,33 +416,13 @@ chain::Block Node::mine_lanes(const Mempool::Window& window, const chain::Block&
   }
 
   std::vector<core::Miner::LaneResult> lanes(shards);
-  std::vector<std::exception_ptr> lane_errors(shards);
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(shards - 1);
-    for (std::uint32_t s = 1; s < shards; ++s) {
-      if (window.lanes[s].empty()) continue;  // Nothing routed here this block.
-      workers.emplace_back([this, s, &window, &lanes, &lane_errors] {
-        try {
-          core::Miner& lane_miner = *shard_miners_[s - 1];
-          lanes[s] = config_.mining == MiningMode::kSerial
-                         ? lane_miner.mine_lane_serial(window.lanes[s])
-                         : lane_miner.mine_lane(window.lanes[s]);
-        } catch (...) {
-          lane_errors[s] = std::current_exception();
-        }
-      });
-    }
-    try {
-      lanes[0] = config_.mining == MiningMode::kSerial ? miner_.mine_lane_serial(window.lanes[0])
-                                                       : miner_.mine_lane(window.lanes[0]);
-    } catch (...) {
-      lane_errors[0] = std::current_exception();
-    }
-  }  // Joins the lane workers.
-  for (const auto& error : lane_errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  lane_pool_->run_batch(shards, [this, &window, &lanes](std::uint32_t s) {
+    // Lane 0 always runs: the seal reads its miner's stats.
+    if (s > 0 && window.lanes[s].empty()) return;  // Nothing routed here this block.
+    core::Miner& lane_miner = s == 0 ? miner_ : *shard_miners_[s - 1];
+    lanes[s] = config_.mining == MiningMode::kSerial ? lane_miner.mine_lane_serial(window.lanes[s])
+                                                     : lane_miner.mine_lane(window.lanes[s]);
+  });
   for (std::uint32_t s = 1; s < shards; ++s) {
     if (!window.lanes[s].empty()) fold_lane_stats(shard_miners_[s - 1]->last_stats());
   }

@@ -16,6 +16,7 @@
 #include "node/handoff_ring.hpp"
 #include "node/mempool.hpp"
 #include "node/snapshot_ring.hpp"
+#include "sched/fork_join.hpp"
 #include "vm/world.hpp"
 
 namespace concord::net {
@@ -366,10 +367,10 @@ class Node {
                                         const chain::Block& parent);
 
   /// mine_block's fan-out (mine_shards > 1): mines each lane of the
-  /// window concurrently — lane 0 on this thread against the primary
-  /// world, lanes ≥ 1 on their own threads against per-block COW forks —
-  /// merges the lanes (chain::merge_shards), re-queues the losers and
-  /// seals the merged block on the primary miner.
+  /// window concurrently on the lane pool — lane 0 against the primary
+  /// world, lanes ≥ 1 against per-block COW forks — merges the lanes
+  /// (chain::merge_shards), re-queues the losers and seals the merged
+  /// block on the primary miner.
   [[nodiscard]] chain::Block mine_lanes(const Mempool::Window& window,
                                         const chain::Block& parent);
 
@@ -421,6 +422,9 @@ class Node {
   /// engine holds a reference until its next resume_from).
   std::vector<std::unique_ptr<core::Miner>> shard_miners_;
   std::vector<std::unique_ptr<vm::World>> shard_worlds_;
+  /// One worker per shard, persistent across blocks; mine_lanes runs a
+  /// block's lanes on it as one batch. Null when mine_shards == 1.
+  std::unique_ptr<sched::ForkJoinPool> lane_pool_;
   /// The MVCC retention window (sized 1 but never published into when
   /// the read path is disabled). Written only by whichever thread runs
   /// validate_and_append; read by any number of query threads.

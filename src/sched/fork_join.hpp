@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -13,12 +14,13 @@
 
 namespace concord::sched {
 
-/// Work-stealing fork-join pool executing dependency DAGs — the
-/// validator's engine (paper §4 / Algorithm 2).
+/// Work-stealing fork-join pool — the one thread pool under the miner,
+/// the validator and the node's shard lanes.
 ///
-/// Algorithm 2 builds, for each transaction, a fork-join task that "first
-/// joins with all tasks according to its in-edges on the happens-before
-/// graph" before executing. The standard work-stealing realization of
+/// The validator's engine (paper §4 / Algorithm 2) is run_dag(). Algorithm
+/// 2 builds, for each transaction, a fork-join task that "first joins with
+/// all tasks according to its in-edges on the happens-before graph"
+/// before executing. The standard work-stealing realization of
 /// join-on-predecessors is dependency counting: each task carries the
 /// number of unfinished predecessors; completing a task decrements its
 /// successors and forks (pushes) every task that reaches zero onto the
@@ -26,10 +28,19 @@ namespace concord::sched {
 /// no conflict detection, no rollback — "the fork-join structure ensures
 /// that conflicting actions never execute concurrently."
 ///
-/// Workers are persistent across run_dag calls (the paper's pools are
-/// long-lived); the calling thread blocks until the DAG drains.
+/// The miner's pool (the paper's Java ExecutorService, §6.1, which "runs
+/// a collection of callable objects in parallel") is run_batch(): a DAG
+/// with no edges, run through the same job lifecycle and worker loop.
+///
+/// Workers are persistent across jobs (the paper's pools are long-lived);
+/// the calling thread blocks until the job drains, and a pool runs one
+/// job at a time. A task that throws does not stop the job: its
+/// successors are still released, every other task still runs once, and
+/// the first exception is rethrown on the caller after the drain. The
+/// pool stays usable afterwards.
 class ForkJoinPool {
  public:
+  /// Throws std::invalid_argument when `threads` is 0.
   explicit ForkJoinPool(unsigned threads);
   ~ForkJoinPool();
 
@@ -39,16 +50,21 @@ class ForkJoinPool {
   /// Executes tasks 0..n-1. `predecessors[i]` lists the tasks that must
   /// finish before task i starts; `successors[i]` the reverse edges (both
   /// views are required so neither needs recomputation here). `body(i)`
-  /// runs exactly once per task and must not throw — record failures in
-  /// the task's own result slot instead.
+  /// runs exactly once per task. Throws std::invalid_argument for a
+  /// non-empty graph with no roots.
   void run_dag(std::size_t n, const std::vector<std::vector<std::uint32_t>>& predecessors,
                const std::vector<std::vector<std::uint32_t>>& successors,
                const std::function<void(std::uint32_t)>& body);
 
+  /// Executes n independent tasks. Workers claim them from a shared
+  /// cursor, so tasks start in ascending index order — the FIFO order of
+  /// a submit-all-then-wait executor.
+  void run_batch(std::size_t n, const std::function<void(std::uint32_t)>& body);
+
   [[nodiscard]] unsigned size() const noexcept { return static_cast<unsigned>(workers_.size()); }
 
-  /// Number of successful steals across all run_dag calls (diagnostic;
-  /// exercised by the scheduler tests).
+  /// Number of successful steals over the pool's lifetime (cumulative
+  /// across jobs; batches never steal).
   [[nodiscard]] std::uint64_t steal_count() const noexcept {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -56,17 +72,28 @@ class ForkJoinPool {
  private:
   struct Job {
     std::size_t n = 0;
-    const std::vector<std::vector<std::uint32_t>>* successors = nullptr;
     const std::function<void(std::uint32_t)>* body = nullptr;
-    std::vector<std::atomic<std::int32_t>> pending;  ///< Unfinished predecessor counts.
+    /// Reverse edges of a DAG; null for a batch, whose tasks come from
+    /// `next` instead of the deques.
+    const std::vector<std::vector<std::uint32_t>>* successors = nullptr;
+    std::vector<std::atomic<std::int32_t>> pending;  ///< Unfinished predecessor counts (DAG).
+    std::atomic<std::size_t> next{0};                ///< Next unclaimed task (batch).
     std::atomic<std::size_t> remaining{0};           ///< Tasks not yet executed.
+    std::mutex error_mu;
+    std::exception_ptr error;  ///< First task exception, rethrown by run().
   };
 
+  /// The job lifecycle: waits for every worker to park, seeds a DAG's
+  /// roots, publishes `job`, blocks until it drains and every worker has
+  /// parked again, then rethrows the first task exception.
+  void run(Job& job);
   void worker_loop(unsigned self);
-  /// Runs `task` and forks newly-ready successors onto deque `self`.
+  /// Runs `task` (capturing its exception) and forks newly-ready
+  /// successors onto deque `self`.
   void execute(Job& job, unsigned self, std::uint32_t task);
-  /// Finds work for `self`: own deque first, then round-robin stealing.
-  [[nodiscard]] std::optional<std::uint32_t> find_work(unsigned self);
+  /// Finds work for `self`: a batch's cursor, or a DAG's own deque first,
+  /// then round-robin stealing.
+  [[nodiscard]] std::optional<std::uint32_t> find_work(Job& job, unsigned self);
 
   std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
   /// Ordering constraint: workers_ is joined explicitly in the destructor

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
 #include "contracts/token.hpp"
 #include "core/miner.hpp"
 #include "core/validator.hpp"
@@ -191,6 +194,14 @@ TEST(MinerParallel, SingleThreadMatchesMultiThreadStateRoot) {
   EXPECT_EQ(block_one.header.state_root, block_many.header.state_root);
 }
 
+TEST(MinerParallel, ZeroThreadsRejectedAtConstruction) {
+  // A pool without workers would hang the first non-empty mine().
+  const WorkloadSpec spec = spec_of(BenchmarkKind::kBallot, 10, 0);
+  Fixture fixture = make_fixture(spec);
+  EXPECT_THROW(Miner(*fixture.world, fast_miner(0)), std::invalid_argument);
+  EXPECT_THROW(Validator(*fixture.world, fast_validator(0)), std::invalid_argument);
+}
+
 // ----------------------------------------------------- Validation ------
 
 class TamperRejection : public ::testing::Test {
@@ -318,6 +329,42 @@ TEST_F(TamperRejection, ForgedStatusVectorRejected) {
   EXPECT_TRUE(report.reason == RejectReason::kStatusMismatch ||
               report.reason == RejectReason::kProfileMismatch)
       << to_string(report.reason);
+}
+
+/// A contract whose every call throws an exception the VM does not
+/// catch — stands in for a bug surfacing mid-replay.
+class ThrowingContract final : public vm::Contract {
+ public:
+  explicit ThrowingContract(vm::Address address) : Contract(address, "throwing") {}
+  void execute(const vm::Call& /*call*/, vm::ExecContext& /*ctx*/) override {
+    throw std::logic_error("replay bug");
+  }
+  void hash_state(vm::StateHasher& /*hasher*/) const override {}
+  [[nodiscard]] std::unique_ptr<vm::Contract> fork() const override {
+    return std::make_unique<ThrowingContract>(address());
+  }
+};
+
+TEST_F(TamperRejection, ThrowingReplayRejectedAndPoolReusable) {
+  const chain::Block honest = block_;
+  const vm::Address target = vm::Address::from_u64(0xB0B, 0xEE);
+  block_.transactions[0].contract = target;
+  reseal();
+
+  Fixture fixture = make_fixture(spec_);
+  fixture.world->contracts().add(std::make_unique<ThrowingContract>(target));
+  Validator validator(*fixture.world, fast_validator());
+  const auto report = validator.validate_parallel(block_);
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.reason, RejectReason::kProfileMismatch);
+  EXPECT_EQ(report.detail, "replay task raised an unexpected error");
+  EXPECT_EQ(report.replayed, block_.transactions.size());
+
+  // Same validator, same pool, a fresh replica: the honest block passes.
+  Fixture fresh = make_fixture(spec_);
+  validator.resume_from(*fresh.world);
+  const auto again = validator.validate_parallel(honest);
+  EXPECT_TRUE(again.ok) << to_string(again.reason) << ": " << again.detail;
 }
 
 // ------------------------------------------------ Validator variants ---

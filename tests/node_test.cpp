@@ -509,6 +509,18 @@ TEST(NodeConstruction, RejectsZeroPipelineDepth) {
   EXPECT_THROW(Node(make_stream_fixture(spec).world, config), std::invalid_argument);
 }
 
+TEST(NodeConstruction, RejectsZeroStageThreads) {
+  const StreamSpec spec = stream_spec(BenchmarkKind::kBallot, 2, 10, 0);
+  NodeConfig config;
+  config.miner.threads = 0;
+  EXPECT_THROW(Node(make_stream_fixture(spec).world, config), std::invalid_argument);
+  // The guard must fire even before a world could be cloned.
+  EXPECT_THROW(Node(nullptr, config), std::invalid_argument);
+  config.miner.threads = 1;
+  config.validator.threads = 0;
+  EXPECT_THROW(Node(nullptr, config), std::invalid_argument);
+}
+
 TEST(NodeConstruction, RejectsLockSemanticsDisagreement) {
   const StreamSpec spec = stream_spec(BenchmarkKind::kBallot, 2, 10, 0);
   NodeConfig config;

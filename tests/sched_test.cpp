@@ -1,71 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "sched/fork_join.hpp"
-#include "sched/thread_pool.hpp"
 #include "sched/work_stealing_deque.hpp"
 
 namespace concord::sched {
 namespace {
-
-// --------------------------------------------------------- ThreadPool --
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // Must not hang.
-  SUCCEED();
-}
-
-TEST(ThreadPool, TasksRunConcurrently) {
-  ThreadPool pool(3);
-  std::atomic<int> running{0};
-  std::atomic<int> peak{0};
-  for (int i = 0; i < 12; ++i) {
-    pool.submit([&] {
-      const int now = running.fetch_add(1) + 1;
-      int expected = peak.load();
-      while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      running.fetch_sub(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_GE(peak.load(), 2);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 100; ++i) pool.submit([&count] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (batch + 1) * 100);
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.submit([&count] { count.fetch_add(1); });
-  }
-  EXPECT_EQ(count.load(), 50);
-}
 
 // ------------------------------------------------- WorkStealingDeque ---
 
@@ -141,12 +88,15 @@ std::vector<std::vector<std::uint32_t>> invert(
 }
 
 TEST(ForkJoin, ExecutesEveryTaskOnce) {
+  // An edgeless DAG, once through run_dag and once as a batch.
   ForkJoinPool pool(3);
   constexpr std::size_t n = 500;
   std::vector<std::vector<std::uint32_t>> preds(n);
   std::vector<std::atomic<int>> runs(n);
   pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t i) { runs[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1);
+  pool.run_batch(n, [&](std::uint32_t i) { runs[i].fetch_add(1); });
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 2);
 }
 
 TEST(ForkJoin, RespectsChainOrder) {
@@ -188,8 +138,11 @@ TEST(ForkJoin, RespectsDiamondDependencies) {
 }
 
 TEST(ForkJoin, ParallelismActuallyHappens) {
+  // Rendezvous: tasks 0 and 1 each check in, then wait (bounded spin) for
+  // the other. Two workers must hold them at once for both to see the
+  // pair; no sleep length decides the outcome.
   ForkJoinPool pool(3);
-  constexpr std::size_t n = 30;
+  constexpr std::size_t n = 2;
   std::vector<std::vector<std::uint32_t>> preds(n);
   std::atomic<int> running{0};
   std::atomic<int> peak{0};
@@ -198,7 +151,7 @@ TEST(ForkJoin, ParallelismActuallyHappens) {
     int expected = peak.load();
     while (now > expected && !peak.compare_exchange_weak(expected, now)) {
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    for (int spin = 0; spin < 10'000'000 && peak.load() < 2; ++spin) std::this_thread::yield();
     running.fetch_sub(1);
   });
   EXPECT_GE(peak.load(), 2);
@@ -212,13 +165,15 @@ TEST(ForkJoin, ReusableAcrossRuns) {
     for (std::uint32_t i = 1; i < n; ++i) preds[i] = {static_cast<std::uint32_t>(i / 2)};
     std::atomic<int> count{0};
     pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), static_cast<int>(n));
+    pool.run_batch(n, [&](std::uint32_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), static_cast<int>(2 * n));
   }
 }
 
 TEST(ForkJoin, EmptyDagReturnsImmediately) {
   ForkJoinPool pool(2);
   pool.run_dag(0, {}, {}, [](std::uint32_t) { FAIL(); });
+  pool.run_batch(0, [](std::uint32_t) { FAIL(); });
   SUCCEED();
 }
 
@@ -259,6 +214,89 @@ TEST(ForkJoin, SingleWorkerStillCompletesDag) {
   preds[1] = {0};
   std::atomic<int> count{0};
   pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), static_cast<int>(n));
+}
+
+TEST(ForkJoin, BatchWorkersStartTasksInAscendingOrder) {
+  // The miner's birth stamps follow task start order; a worker must never
+  // start a lower index after a higher one.
+  ForkJoinPool pool(4);
+  constexpr std::size_t n = 2'000;
+  std::mutex mu;
+  std::unordered_map<std::thread::id, std::uint32_t> last;
+  bool ascending = true;
+  pool.run_batch(n, [&](std::uint32_t i) {
+    std::scoped_lock lk(mu);
+    const auto [it, fresh] = last.try_emplace(std::this_thread::get_id(), i);
+    if (!fresh) {
+      ascending = ascending && it->second < i;
+      it->second = i;
+    }
+  });
+  EXPECT_TRUE(ascending);
+}
+
+// ----------------------------------------------------- Task errors ----
+
+struct TaskError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Runs `preds` with task `thrower` throwing, checks the exception
+/// reaches the caller only after every other task ran exactly once, then
+/// checks the same pool runs the DAG again cleanly.
+void expect_error_drains(ForkJoinPool& pool, const std::vector<std::vector<std::uint32_t>>& preds,
+                         std::uint32_t thrower) {
+  const std::size_t n = preds.size();
+  const auto succs = invert(preds, n);
+  std::vector<std::atomic<int>> runs(n);
+  EXPECT_THROW(pool.run_dag(n, preds, succs,
+                            [&](std::uint32_t i) {
+                              runs[i].fetch_add(1);
+                              if (i == thrower) throw TaskError("task failed");
+                            }),
+               TaskError);
+  // run_dag returned, so the DAG drained: successors of the thrower ran.
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+
+  std::atomic<int> count{0};
+  pool.run_dag(n, preds, succs, [&](std::uint32_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), static_cast<int>(n));
+}
+
+TEST(ForkJoinErrors, ChainRethrowsAfterDrain) {
+  ForkJoinPool pool(3);
+  constexpr std::size_t n = 50;
+  std::vector<std::vector<std::uint32_t>> preds(n);
+  for (std::uint32_t i = 1; i < n; ++i) preds[i] = {i - 1};
+  expect_error_drains(pool, preds, 10);
+}
+
+TEST(ForkJoinErrors, DiamondRethrowsAfterDrain) {
+  ForkJoinPool pool(4);
+  // 0 → {1..8} → 9, with the root throwing: every successor still runs.
+  constexpr std::size_t n = 10;
+  std::vector<std::vector<std::uint32_t>> preds(n);
+  for (std::uint32_t i = 1; i < 9; ++i) preds[i] = {0};
+  for (std::uint32_t i = 1; i < 9; ++i) preds[9].push_back(i);
+  expect_error_drains(pool, preds, 0);
+  expect_error_drains(pool, preds, 4);
+}
+
+TEST(ForkJoinErrors, BatchRethrowsAfterDrain) {
+  ForkJoinPool pool(3);
+  constexpr std::size_t n = 200;
+  std::vector<std::atomic<int>> runs(n);
+  EXPECT_THROW(pool.run_batch(n,
+                              [&](std::uint32_t i) {
+                                runs[i].fetch_add(1);
+                                if (i % 50 == 7) throw TaskError("task failed");
+                              }),
+               TaskError);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+
+  std::atomic<int> count{0};
+  pool.run_batch(n, [&](std::uint32_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), static_cast<int>(n));
 }
 
