@@ -1,16 +1,15 @@
 // ConcordSan overhead: miner throughput with detection off versus on.
 //
-// The detect-off column is the one the trajectory gate cares about: with
-// MinerConfig::detect false no AccessRecorder is wired into the
-// ExecContext, every on_data_access call short-circuits on a null
-// pointer, and the hot path must measure the same as before the analysis
-// layer existed (bench_node_throughput's recorded points are that gate).
+// The detect-off column is the production path: with MinerConfig::detect
+// false no AccessRecorder is wired into the ExecContext, every
+// on_data_access call short-circuits on a null pointer, and the hot path
+// must measure the same as before the analysis layer existed (bench/e2e
+// runs detect off, so bench/ab.sh is where a cost there would show).
 // The detect-on column prices the lane itself — per-access event
 // recording plus the post-block lockset sweep and soundness oracle — so
 // CI has a number to watch when the detector grows.
 //
 // Usage: bench_detect_overhead [--quick] [--samples=N] [--threads=N]
-//        [--json=FILE]
 
 #include <chrono>
 #include <cstdint>
@@ -92,19 +91,8 @@ int main(int argc, char** argv) {
     std::printf("%-14s %12.0f %12.0f %9.1f%% %10.3f %10llu\n", name.c_str(), off_tx, on_tx,
                 overhead * 100.0, point.off.mean_ms,
                 static_cast<unsigned long long>(point.accesses));
-
-    char json[512];
-    std::snprintf(json, sizeof(json),
-                  "{\"bench\": \"detect_overhead\", \"benchmark\": \"%s\", "
-                  "\"transactions\": %zu, \"conflict_percent\": %u, "
-                  "\"detect_off_tx_per_sec\": %.1f, \"detect_on_tx_per_sec\": %.1f, "
-                  "\"detect_overhead_frac\": %.4f, \"accesses\": %llu}",
-                  bench::json_escape(name).c_str(), txs, conflict, off_tx, on_tx, overhead,
-                  static_cast<unsigned long long>(point.accesses));
-    bench::write_json_object(json);
   }
 
-  std::printf("\nThe detect-off column is gated by the bench_node_throughput trajectory\n"
-              "(detect defaults off there); the on/off gap is the price of the lane.\n");
+  std::printf("\nDetect defaults off; the on/off gap is the price of the lane.\n");
   return 0;
 }

@@ -4,17 +4,16 @@
 // versus the unpipelined mine-then-validate baseline on the identical
 // transaction stream. This is the regime the one-shot figure benches
 // can't see — and the regime follow-on frameworks (OptSmart et al.)
-// evaluate. The --pipeline-depth sweep puts ring depth into the
-// committed throughput trajectory.
+// evaluate. It is the repository's only pipeline-depth and shard-count
+// sweep; bench/e2e runs one shard at depth 2.
 //
 // Usage: bench_node_throughput [--quick] [--samples=N] [--threads=N]
 //                              [--blocks=N] [--block-txs=N]
 //                              [--pipeline-depth=1,2,4]
-//                              [--mine-shards=1,2,4] [--json=FILE] ...
+//                              [--mine-shards=1,2,4] ...
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -22,7 +21,6 @@
 
 #include "harness.hpp"
 #include "node/node.hpp"
-#include "util/cycle_burner.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -90,62 +88,6 @@ ModeResult measure_mode(const workload::StreamSpec& spec, const bench::RunConfig
   return result;
 }
 
-/// `pipeline_depth` is recorded for every point (1 for the unpipelined
-/// baseline, which has no ring) so the trajectory consumer can key
-/// points by (benchmark, pipelined, depth) across commits — older files
-/// without the field read as depth 1. `mine_shards` follows the same
-/// pattern: recorded on every point, read as 1 when absent, and points
-/// with shards > 1 are informational in the trajectory (never gated).
-void emit_json(const workload::StreamSpec& spec, const ModeResult& mode, bool pipelined,
-               std::size_t pipeline_depth, double overlap_speedup,
-               std::uint32_t mine_shards = 1) {
-  std::ostringstream object;
-  object << "{\"benchmark\": \"NodeStream/" << bench::json_escape(workload::to_string(spec.kind))
-         << "\""
-         << ", \"blocks\": " << mode.last.blocks
-         << ", \"txs_per_block\": " << spec.txs_per_block
-         << ", \"transactions\": " << mode.last.transactions
-         << ", \"conflict_percent\": " << spec.conflict_percent
-         << ", \"pipelined\": " << (pipelined ? "true" : "false")
-         << ", \"pipeline_depth\": " << pipeline_depth
-         << ", \"mine_shards\": " << mine_shards
-         << ", \"cross_shard_conflicts\": " << mode.last.cross_shard_conflicts
-         << ", \"requeued_transactions\": " << mode.last.requeued_transactions
-         << ", \"wall_ms\": " << mode.wall.mean_ms
-         << ", \"wall_stddev_ms\": " << mode.wall.stddev_ms
-         << ", \"sustained_tx_per_sec\": " << mode.tx_per_sec()
-         << ", \"blocks_per_sec\": " << mode.last.blocks_per_sec()
-         << ", \"mine_ms\": " << mode.last.mine_ms
-         << ", \"validate_ms\": " << mode.last.validate_ms
-         << ", \"snapshot_ms\": " << mode.last.snapshot_ms
-         << ", \"mempool_wait_ms\": " << mode.last.mempool_wait_ms
-         << ", \"handoff_wait_ms\": " << mode.last.handoff_wait_ms
-         << ", \"validator_stall_ms\": " << mode.last.validator_stall_ms
-         << ", \"ring_high_water\": " << mode.last.ring_high_water
-         << ", \"conflict_aborts\": " << mode.last.conflict_aborts
-         << ", \"lock_table_high_water\": " << mode.last.lock_table_high_water
-         // Arena counters (all zero when the stream ran the heap
-         // baseline): how much of the state layer's page traffic the
-         // World-scoped arena absorbed and recycled.
-         << ", \"arena_chunks\": " << mode.last.arena.chunks
-         << ", \"arena_chunk_bytes\": " << mode.last.arena.chunk_bytes
-         << ", \"arena_live_blocks\": " << mode.last.arena.live_blocks
-         << ", \"arena_recycle_hits\": " << mode.last.arena.recycle_hits
-         << ", \"arena_fresh_allocs\": " << mode.last.arena.fresh_allocs
-         // Cross-stripe free-list traffic: how often an allocating stripe
-         // went shopping in a sibling's list. The per-shard stripe
-         // affinity exists to keep these low relative to recycle_hits.
-         << ", \"arena_steal_attempts\": " << mode.last.arena.steal_attempts
-         << ", \"arena_steal_hits\": " << mode.last.arena.steal_hits
-         << ", \"overlap_speedup\": " << overlap_speedup
-         // Machine-speed fingerprint: absolute tx/s is only comparable
-         // across trajectory files when the host ran at the same
-         // effective speed. hardware_threads can't see a same-box
-         // frequency/steal-time shift; the CycleBurner calibration can.
-         << ", \"machine_iters_per_us\": " << util::iterations_per_microsecond() << "}";
-  bench::write_json_object(object.str());
-}
-
 std::vector<std::size_t> parse_depths(std::string_view csv) {
   std::vector<std::size_t> depths;
   while (!csv.empty()) {
@@ -184,8 +126,7 @@ int main(int argc, char** argv) {
     }
   }
   if (base.blocks == 0 || base.txs_per_block == 0 || depths.empty() || shard_axis.empty()) {
-    // A typo'd flag must not record a degenerate zero-throughput point
-    // into the committed trajectory files.
+    // A typo'd flag must not print a degenerate zero-throughput point.
     std::fprintf(stderr,
                  "bench_node_throughput: --blocks/--block-txs must be positive integers and "
                  "--pipeline-depth/--mine-shards comma lists of positive values\n");
@@ -209,7 +150,6 @@ int main(int argc, char** argv) {
     spec.kind = kind;
 
     const ModeResult sequential = measure_mode(spec, config, /*pipelined=*/false, 1);
-    emit_json(spec, sequential, /*pipelined=*/false, 1, 1.0);
 
     for (const std::size_t depth : depths) {
       const ModeResult pipelined = measure_mode(spec, config, /*pipelined=*/true, depth);
@@ -223,16 +163,13 @@ int main(int argc, char** argv) {
                   pipelined.last.validate_ms,
                   pipelined.last.handoff_wait_ms + pipelined.last.validator_stall_ms);
       std::fflush(stdout);
-
-      emit_json(spec, pipelined, /*pipelined=*/true, depth, overlap);
     }
   }
 
   // Shard scaling lane: parallel block production through the sharded
   // mempool and the deterministic merge layer, at ring depth 1 so the
   // axis isolates lane parallelism from pipeline overlap. shards=1 is
-  // the depth sweep above (the exact single-miner path); these points
-  // carry mine_shards > 1 and enter the trajectory informationally.
+  // the depth sweep above (the exact single-miner path).
   bool shard_header_printed = false;
   for (const workload::BenchmarkKind kind : workload::kAllBenchmarks) {
     workload::StreamSpec spec = base;
@@ -262,8 +199,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(sharded.last.cross_shard_conflicts),
                   static_cast<unsigned long long>(sharded.last.requeued_transactions));
       std::fflush(stdout);
-      emit_json(spec, sharded, /*pipelined=*/true, 1, speedup,
-                static_cast<std::uint32_t>(shards));
     }
   }
   return 0;

@@ -11,28 +11,27 @@
 // boundary is what returns the prior block's private pages to the arena
 // for the next block's detaches to recycle.
 //
-// Metric definitions (all emitted per point):
-//  - sustained_tx_per_sec: transactions over the mining loop's wall
-//    time, state-root publication included. The root is incremental
-//    (it rehashes only the pages a block dirtied), so it no longer
-//    drowns the rest of the loop and needs no separate figure.
-//  - state_root_ms: the per-run total of the miners' state-root time,
-//    part of the wall time above. Root cost follows the dirty set, so it
+// Columns printed per point:
+//  - tx/s: transactions over the mining loop's wall time, state-root
+//    publication included. The root is incremental: it rehashes only
+//    the pages a block dirtied.
+//  - root_ms: the per-run total of the miners' state-root time, part of
+//    the wall time above. Root cost follows the dirty set, so it
 //    should stay within a small factor between 100k and 1M accounts.
-//  - heap_allocs / heap_alloc_bytes: global operator new calls during
-//    the measured loop, counted by this binary's allocator shims. The
-//    arena turns per-page mallocs into pooled free-list hits, so
-//    arena-on must come in well below the baseline here.
-//  - genesis_build_ms / genesis_heap_allocs: cost of seeding the
-//    `accounts`-entry world — the bulk-ingest side of the same story.
+//  - heap_allocs: global operator new calls during the measured loop,
+//    counted by this binary's allocator shims. The arena turns per-page
+//    mallocs into pooled free-list hits, so arena-on must come in well
+//    below the baseline here.
+//  - recycles: arena free-list hits over the run.
+//  - build_ms: cost of seeding the `accounts`-entry world — the
+//    bulk-ingest side of the same story.
 //
 // Synthetic gas burn defaults to OFF (--nanos-per-gas=0): this bench
 // measures the state layer, not simulated contract compute.
 //
 // Usage: bench_state_scale [--quick] [--accounts=100000,1000000]
 //                          [--skews=0.9] [--blocks=N] [--block-txs=N]
-//                          [--conflict=N] [--samples=N] [--threads=N]
-//                          [--json=FILE] ...
+//                          [--conflict=N] [--samples=N] [--threads=N] ...
 
 #include <atomic>
 #include <chrono>
@@ -49,7 +48,6 @@
 #include "chain/block.hpp"
 #include "core/miner.hpp"
 #include "harness.hpp"
-#include "util/cycle_burner.hpp"
 #include "util/stats.hpp"
 #include "vm/world.hpp"
 #include "workload/workload.hpp"
@@ -64,7 +62,6 @@
 
 namespace bench_alloc {
 std::atomic<std::uint64_t> count{0};
-std::atomic<std::uint64_t> bytes{0};
 
 inline void* checked(void* p) {
   if (p == nullptr) throw std::bad_alloc();
@@ -73,13 +70,11 @@ inline void* checked(void* p) {
 
 inline void* alloc(std::size_t size) {
   count.fetch_add(1, std::memory_order_relaxed);
-  bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size != 0 ? size : 1);
 }
 
 inline void* alloc_aligned(std::size_t size, std::size_t align) {
   count.fetch_add(1, std::memory_order_relaxed);
-  bytes.fetch_add(size, std::memory_order_relaxed);
   // aligned_alloc requires size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
   return std::aligned_alloc(align, rounded != 0 ? rounded : align);
@@ -122,7 +117,6 @@ struct RunResult {
   double wall_ms = 0.0;       ///< Full loop, root publication included.
   double root_ms = 0.0;       ///< Sum of per-block state-root time (part of wall_ms).
   std::uint64_t heap_allocs = 0;
-  std::uint64_t heap_bytes = 0;
   core::MinerStats last;      ///< Stats after the final block.
   util::Hash256 final_root;
 };
@@ -132,7 +126,6 @@ struct PointResult {
   util::TimingSummary wall;       ///< Wall time per run.
   double root_ms = 0.0;           ///< Mean per-run root total.
   double genesis_build_ms = 0.0;
-  std::uint64_t genesis_heap_allocs = 0;
   RunResult last;
   util::Hash256 genesis_root;
   std::size_t transactions = 0;
@@ -166,7 +159,6 @@ RunResult run_block_loop(const vm::WorldSnapshot& genesis_snap, const chain::Blo
   const bool phase_debug = std::getenv("SS_PHASES") != nullptr;
   double mine_ms = 0.0, boundary_ms = 0.0;
   const std::uint64_t allocs0 = bench_alloc::count.load(std::memory_order_relaxed);
-  const std::uint64_t bytes0 = bench_alloc::bytes.load(std::memory_order_relaxed);
   const auto begin = std::chrono::steady_clock::now();
   for (std::size_t b = 0; b < blocks; ++b) {
     batch.assign(stream.begin() + static_cast<std::ptrdiff_t>(b * block_txs),
@@ -193,7 +185,6 @@ RunResult run_block_loop(const vm::WorldSnapshot& genesis_snap, const chain::Blo
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - begin)
           .count();
   result.heap_allocs = bench_alloc::count.load(std::memory_order_relaxed) - allocs0;
-  result.heap_bytes = bench_alloc::bytes.load(std::memory_order_relaxed) - bytes0;
   result.last = miner.last_stats();
   result.final_root = parent.header.state_root;
   return result;
@@ -204,14 +195,11 @@ PointResult measure_point(const workload::ZipfSpec& spec, std::size_t blocks,
   PointResult point;
   point.transactions = blocks * block_txs;
 
-  const std::uint64_t allocs0 = bench_alloc::count.load(std::memory_order_relaxed);
   const auto build_begin = std::chrono::steady_clock::now();
   workload::Fixture fixture = workload::make_zipf_fixture(spec);
   point.genesis_build_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - build_begin)
                                .count();
-  point.genesis_heap_allocs =
-      bench_alloc::count.load(std::memory_order_relaxed) - allocs0;
 
   const chain::Block genesis = fixture.genesis();  // One O(state) root per point.
   point.genesis_root = genesis.header.state_root;
@@ -233,43 +221,6 @@ PointResult measure_point(const workload::ZipfSpec& spec, std::size_t blocks,
   point.wall = util::summarize_ms(runs);
   point.root_ms = measured > 0 ? root_total / measured : 0.0;
   return point;
-}
-
-void emit_json(const workload::ZipfSpec& spec, std::size_t blocks, std::size_t block_txs,
-               const PointResult& point) {
-  const vm::ArenaStats& arena = point.last.last.arena;
-  std::ostringstream object;
-  object << "{\"benchmark\": \"StateScale/"
-         << bench::json_escape(workload::to_string(spec.scenario)) << "\""
-         << ", \"accounts\": " << spec.accounts
-         << ", \"skew\": " << spec.skew
-         << ", \"conflict_percent\": " << spec.conflict_percent
-         << ", \"arena\": " << (spec.use_arena ? "true" : "false")
-         << ", \"blocks\": " << blocks
-         << ", \"txs_per_block\": " << block_txs
-         << ", \"transactions\": " << point.transactions
-         << ", \"sustained_tx_per_sec\": " << point.tx_per_sec()
-         << ", \"wall_ms\": " << point.wall.mean_ms
-         << ", \"wall_stddev_ms\": " << point.wall.stddev_ms
-         << ", \"state_root_ms\": " << point.root_ms
-         << ", \"genesis_build_ms\": " << point.genesis_build_ms
-         << ", \"genesis_heap_allocs\": " << point.genesis_heap_allocs
-         << ", \"heap_allocs\": " << point.last.heap_allocs
-         << ", \"heap_alloc_bytes\": " << point.last.heap_bytes
-         << ", \"conflict_aborts\": " << point.last.last.conflict_aborts
-         << ", \"lock_table_memory_high_water\": "
-         << point.last.last.lock_table_memory_high_water
-         << ", \"arena_chunks\": " << arena.chunks
-         << ", \"arena_chunk_bytes\": " << arena.chunk_bytes
-         << ", \"arena_live_blocks\": " << arena.live_blocks
-         << ", \"arena_live_bytes\": " << arena.live_bytes
-         << ", \"arena_live_high_water\": " << arena.live_high_water
-         << ", \"arena_fresh_allocs\": " << arena.fresh_allocs
-         << ", \"arena_recycle_hits\": " << arena.recycle_hits
-         << ", \"arena_oversize_allocs\": " << arena.oversize_allocs
-         << ", \"state_root\": \"" << point.last.final_root.to_hex() << "\""
-         << ", \"machine_iters_per_us\": " << util::iterations_per_microsecond() << "}";
-  bench::write_json_object(object.str());
 }
 
 std::vector<std::size_t> parse_size_csv(std::string_view csv) {
@@ -378,8 +329,6 @@ int main(int argc, char** argv) {
                       static_cast<unsigned long long>(point.last.heap_allocs),
                       static_cast<unsigned long long>(point.last.last.arena.recycle_hits));
           std::fflush(stdout);
-
-          emit_json(spec, blocks, block_txs, point);
 
           std::ostringstream key;
           key << static_cast<int>(scenario) << "/" << accounts << "/" << skew;

@@ -2,13 +2,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-
-#include "util/json.hpp"
 
 namespace concord::bench {
 
@@ -36,72 +32,7 @@ bool parse_flag_double(std::string_view arg, std::string_view name, double& out)
   return true;
 }
 
-/// Process-wide sink mirroring every measure_point() into a JSON array so
-/// bench/run_all.sh can collect machine-readable results without each
-/// bench main threading a writer through. The closing bracket is written
-/// by the function-local static's destructor at normal process exit, so a
-/// bench that opens the sink but measures no points still leaves valid
-/// JSON.
-class JsonSink {
- public:
-  static JsonSink& instance() {
-    static JsonSink sink;
-    return sink;
-  }
-
-  void open(const std::string& path) {
-    out_.open(path, std::ios::trunc);
-    if (out_.is_open()) {
-      out_ << "[";
-    } else {
-      std::fprintf(stderr, "warning: --json: cannot open '%s'; JSON output disabled\n",
-                   path.c_str());
-    }
-  }
-
-  void write(const PointResult& point) {
-    std::ostringstream object;
-    object << "{"
-           << "\"benchmark\": \"" << json_escape(workload::to_string(point.spec.kind)) << "\""
-           << ", \"transactions\": " << point.spec.transactions
-           << ", \"conflict_percent\": " << point.spec.conflict_percent
-           << ", \"serial_ms\": " << point.serial.mean_ms
-           << ", \"serial_stddev_ms\": " << point.serial.stddev_ms
-           << ", \"miner_ms\": " << point.miner.mean_ms
-           << ", \"miner_stddev_ms\": " << point.miner.stddev_ms
-           << ", \"validator_ms\": " << point.validator.mean_ms
-           << ", \"validator_stddev_ms\": " << point.validator.stddev_ms
-           << ", \"miner_speedup\": " << point.miner_speedup()
-           << ", \"validator_speedup\": " << point.validator_speedup()
-           << ", \"sustained_tx_per_sec\": " << point.sustained_tx_per_sec()
-           << ", \"conflict_aborts\": " << point.mining_stats.conflict_aborts
-           << ", \"critical_path\": " << point.schedule.critical_path
-           << ", \"parallelism\": " << point.schedule.parallelism
-           << ", \"schedule_bytes\": " << point.mining_stats.schedule_bytes << "}";
-    write_raw(object.str());
-  }
-
-  void write_raw(const std::string& object) {
-    if (!out_.is_open()) return;
-    out_ << (first_ ? "\n" : ",\n") << "  " << object;
-    out_.flush();
-    first_ = false;
-  }
-
-  ~JsonSink() {
-    if (out_.is_open()) out_ << "\n]\n";
-  }
-
- private:
-  std::ofstream out_;
-  bool first_ = true;
-};
-
 }  // namespace
-
-void write_json_object(const std::string& object) { JsonSink::instance().write_raw(object); }
-
-std::string json_escape(std::string_view raw) { return util::json_escape(raw); }
 
 RunConfig RunConfig::from_args(int argc, char** argv) {
   RunConfig config;
@@ -123,8 +54,6 @@ RunConfig RunConfig::from_args(int argc, char** argv) {
       config.nanos_per_gas = dvalue;
     } else if (arg == "--exclusive-locks") {
       config.exclusive_locks_only = true;
-    } else if (arg.starts_with("--json=")) {
-      JsonSink::instance().open(std::string(arg.substr(7)));
     }
   }
   return config;
@@ -199,7 +128,6 @@ PointResult measure_point(const workload::WorkloadSpec& spec, const RunConfig& c
     point.validator = util::summarize_ms(runs);
   }
 
-  JsonSink::instance().write(point);
   return point;
 }
 

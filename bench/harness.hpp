@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/miner.hpp"
@@ -28,10 +26,8 @@ struct RunConfig {
   bool quick = false;
 
   /// Parses --quick (1 warmup / 3 samples, thinner axes), --samples=N,
-  /// --warmups=N, --threads=N, --nanos-per-gas=X, and --json=FILE (mirror
-  /// every measured point into FILE as a JSON array, for the perf
-  /// trajectory — see bench/run_all.sh) from argv. Unknown flags are
-  /// ignored so binaries can layer their own.
+  /// --warmups=N, --threads=N and --nanos-per-gas=X from argv. Unknown
+  /// flags are ignored so binaries can layer their own.
   static RunConfig from_args(int argc, char** argv);
 };
 
@@ -50,40 +46,15 @@ struct PointResult {
   [[nodiscard]] double validator_speedup() const {
     return validator.mean_ms > 0 ? serial.mean_ms / validator.mean_ms : 0.0;
   }
-  /// Sustained throughput: every transaction both mined *and* validated
-  /// over wall time (mine + validate back-to-back) — the number an
-  /// unpipelined node would sustain on this workload, and the key shared
-  /// with bench_node_throughput's JSON so all benches report comparably.
-  [[nodiscard]] double sustained_tx_per_sec() const {
-    const double total_ms = miner.mean_ms + validator.mean_ms;
-    return total_ms > 0 ? static_cast<double>(spec.transactions) * 1e3 / total_ms : 0.0;
-  }
 };
 
 /// Times serial baseline, parallel miner and parallel validator for one
 /// workload point, each from a freshly-rebuilt fixture per run. Verifies
 /// on every validator sample that the block is accepted (a benchmark that
 /// silently measured rejected blocks would be meaningless) and aborts via
-/// exception otherwise. Every measured point is also mirrored into the
-/// JSON sink when --json=FILE was passed.
+/// exception otherwise.
 [[nodiscard]] PointResult measure_point(const workload::WorkloadSpec& spec,
                                         const RunConfig& config);
-
-/// Mirrors one pre-formatted JSON object (braces included) into the
-/// --json sink alongside the measure_point() records. For benches whose
-/// measurement loop doesn't fit PointResult (bench_node_throughput's
-/// sustained pipeline runs); no-op when --json wasn't passed. Objects
-/// should carry the shared "sustained_tx_per_sec" key where applicable,
-/// and must run any free-form text (benchmark names, error details)
-/// through json_escape() before embedding it in a string value.
-void write_json_object(const std::string& object);
-
-/// Escapes `raw` for embedding inside a JSON string literal: quotes,
-/// backslashes and control characters per RFC 8259. Used by the harness's
-/// own point writer and by bespoke benches building write_json_object()
-/// payloads, so a workload name (or failure detail) with a quote can't
-/// corrupt the results file.
-[[nodiscard]] std::string json_escape(std::string_view raw);
 
 /// The paper's sweep axes.
 [[nodiscard]] std::vector<std::size_t> blocksize_axis(bool quick);

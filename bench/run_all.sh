@@ -1,70 +1,25 @@
 #!/usr/bin/env bash
-# Builds a Release-flavored preset and runs every bench, writing per-bench
-# JSON into bench_results/ for the perf trajectory (plus the raw table
-# output as .log). Defaults to --quick so a full sweep stays CI-sized;
-# pass --full for the paper's full axes.
+# Builds a Release-flavored preset and runs every bench once. Defaults to
+# --quick so a full sweep stays CI-sized; pass --full for the paper's full
+# axes. Any bench that throws (a rejected block, a state-root mismatch)
+# fails the sweep. Speed claims go through bench/ab.sh, not this script.
 #
-# usage: bench/run_all.sh [--full] [--preset=NAME] [--out=DIR]
+# usage: bench/run_all.sh [--full] [--preset=NAME]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK="--quick"
 PRESET="release"
-OUT_DIR="bench_results"
 for arg in "$@"; do
   case "$arg" in
     --full) QUICK="" ;;
     --preset=*) PRESET="${arg#--preset=}" ;;
-    --out=*) OUT_DIR="${arg#--out=}" ;;
-    *) echo "usage: $0 [--full] [--preset=NAME] [--out=DIR]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--full] [--preset=NAME]" >&2; exit 2 ;;
   esac
 done
 
 cmake --preset "$PRESET"
 cmake --build --preset "$PRESET"
-mkdir -p "$OUT_DIR"
-
-# Concatenates harness-emitted JSON arrays ("[", "  obj[,]"…, "]") into
-# one array at $1 — pure shell, so the fold works where python3 doesn't.
-fold_json_arrays() {
-  local out="$1"
-  shift
-  {
-    echo "["
-    local first=1
-    local part
-    for part in "$@"; do
-      grep -q '{' "$part" || continue
-      [[ $first -eq 0 ]] && echo "  ,"
-      sed '1d;$d' "$part"
-      first=0
-    done
-    echo "]"
-  } > "$out"
-}
-
-# The state-scale bench defaults to one (skew, conflict) point; the
-# trajectory wants the surface, not the point. Sweep both axes — skew is
-# a CSV the binary fans out itself, conflict takes one run per value —
-# and fold every per-conflict array into the bench's single artifact.
-STATE_SCALE_SKEWS="0.6,0.9,1.2"
-STATE_SCALE_CONFLICTS=(5 15 40)
-
-run_state_scale_sweep() {
-  local bin="$1"
-  local parts=()
-  local conflict
-  : > "$OUT_DIR/bench_state_scale.log"
-  for conflict in "${STATE_SCALE_CONFLICTS[@]}"; do
-    local part="$OUT_DIR/bench_state_scale.conflict$conflict.json"
-    echo "--- bench_state_scale --skews=$STATE_SCALE_SKEWS --conflict=$conflict"
-    "$bin" $QUICK --skews="$STATE_SCALE_SKEWS" --conflict="$conflict" \
-      --json="$part" | tee -a "$OUT_DIR/bench_state_scale.log"
-    parts+=("$part")
-  done
-  fold_json_arrays "$OUT_DIR/bench_state_scale.json" "${parts[@]}"
-  rm -f "${parts[@]}"
-}
 
 # Glob the built binaries so the CMake target list stays the single source
 # of truth — a bench added there is picked up here automatically.
@@ -72,40 +27,10 @@ BIN_DIR="build-$PRESET/bench"
 for bin in "$BIN_DIR"/bench_*; do
   [[ -f "$bin" && -x "$bin" ]] || continue
   bench="$(basename "$bin")"
-  [[ "$bench" == bench_stm_micro ]] && continue  # google-benchmark CLI, below
-  if [[ "$bench" == bench_state_scale ]]; then
-    echo "=== $bench (skew x conflict sweep)"
-    run_state_scale_sweep "$bin"
-    continue
-  fi
   echo "=== $bench"
-  "$bin" $QUICK --json="$OUT_DIR/$bench.json" | tee "$OUT_DIR/$bench.log"
-  # Benches with bespoke measurement loops never feed the harness JSON
-  # sink; flag the empty array so a trajectory consumer isn't surprised.
-  if ! grep -q '{' "$OUT_DIR/$bench.json"; then
-    echo "note: $bench emits no point JSON (custom output); use $bench.log"
+  if [[ "$bench" == bench_stm_micro ]]; then
+    "$bin"  # google-benchmark CLI; absent when the library isn't installed.
+  else
+    "$bin" $QUICK
   fi
 done
-
-# google-benchmark target; absent when the library isn't installed.
-if [[ -x "$BIN_DIR/bench_stm_micro" ]]; then
-  echo "=== bench_stm_micro"
-  "$BIN_DIR/bench_stm_micro" --benchmark_format=json > "$OUT_DIR/bench_stm_micro.json"
-fi
-
-# Cross-PR sustained-throughput record: wrap the node-throughput points
-# (they carry sustained_tx_per_sec) into bench/trajectory/BENCH_<commit>.json,
-# then gate on the trajectory — a >15% sustained_tx_per_sec drop against
-# the previous recorded commit fails the run (the ROADMAP's trajectory
-# consumer). Cross-hardware transitions are skipped, not guessed at.
-if [[ -s "$OUT_DIR/bench_node_throughput.json" ]] \
-    && grep -q '{' "$OUT_DIR/bench_node_throughput.json"; then
-  bench/record_trajectory.sh "$OUT_DIR/bench_node_throughput.json" "$OUT_DIR"
-  if command -v python3 >/dev/null; then
-    python3 bench/check_trajectory.py
-  else
-    echo "note: python3 unavailable; skipping trajectory regression check"
-  fi
-fi
-
-echo "JSON results in $OUT_DIR/"

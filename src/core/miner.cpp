@@ -65,11 +65,7 @@ void Miner::run_speculative(const std::vector<chain::Transaction>& txs,
   stats_.attempts = attempts.load(std::memory_order_relaxed);
   stats_.conflict_aborts = aborts.load(std::memory_order_relaxed);
   stats_.deadlock_victims = runtime_.deadlocks().victims();
-  stats_.lock_table_size = runtime_.locks().size();
   stats_.lock_table_high_water = runtime_.locks().high_water();
-  stats_.lock_table_bucket_count = runtime_.locks().bucket_count();
-  stats_.lock_table_memory_bytes = runtime_.locks().approx_memory_bytes();
-  stats_.lock_table_memory_high_water = runtime_.locks().memory_high_water();
 }
 
 void Miner::run_serial(const std::vector<chain::Transaction>& txs,

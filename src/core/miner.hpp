@@ -65,14 +65,7 @@ struct MinerStats {
   std::uint64_t conflict_aborts = 0;   ///< Attempts that rolled back and retried.
   std::uint64_t deadlock_victims = 0;  ///< Aborts initiated by the deadlock detector.
   std::size_t schedule_bytes = 0;      ///< Serialized size of the published schedule.
-  /// Lock-table working set at end of this block's mining. The recycling
-  /// LockTable::reset() retains nodes across blocks, so this is the
-  /// cumulative retained set, not just the locks this block touched.
-  std::size_t lock_table_size = 0;
   std::size_t lock_table_high_water = 0;  ///< Max table size over the miner's lifetime.
-  std::size_t lock_table_bucket_count = 0;     ///< Hash buckets across stripes.
-  std::size_t lock_table_memory_bytes = 0;     ///< LockTable::approx_memory_bytes now.
-  std::size_t lock_table_memory_high_water = 0;  ///< Max of the above at boundaries.
   /// Arena counters of the mined world's lineage (all zero when the
   /// world runs the heap baseline). Snapshot at block assembly.
   vm::ArenaStats arena;

@@ -1,10 +1,9 @@
 #include "core/validator.hpp"
 
 #include <atomic>
-#include <mutex>
+#include <optional>
 #include <vector>
 
-#include "graph/happens_before.hpp"
 #include "vm/trace.hpp"
 
 namespace concord::core {
@@ -27,12 +26,14 @@ std::string_view to_string(RejectReason reason) noexcept {
 Validator::Validator(vm::World& world, ValidatorConfig config)
     : config_(config), engine_(world, config.engine()), pool_(config.threads) {}
 
-bool Validator::structural_checks(const chain::Block& block, ValidationReport& report) const {
-  const auto fail = [&report](RejectReason reason, std::string detail) {
+std::optional<graph::HappensBeforeGraph> Validator::structural_checks(
+    const chain::Block& block, ValidationReport& report) const {
+  const auto fail = [&report](RejectReason reason,
+                              std::string detail) -> std::optional<graph::HappensBeforeGraph> {
     report.ok = false;
     report.reason = reason;
     report.detail = std::move(detail);
-    return false;
+    return std::nullopt;
   };
 
   if (!block.commitments_consistent()) {
@@ -70,7 +71,7 @@ bool Validator::structural_checks(const chain::Block& block, ValidationReport& r
   // schedule really is serializable": the published graph must imply
   // every ordering the profiles' use counters demand, otherwise two
   // conflicting transactions could replay concurrently (a data race).
-  const graph::HappensBeforeGraph published = schedule.to_graph(n);
+  graph::HappensBeforeGraph published = schedule.to_graph(n);
   const graph::HappensBeforeGraph derived = graph::derive_happens_before(schedule.profiles, n);
   if (!published.implies(derived)) {
     return fail(RejectReason::kMissingConstraint, "profile-derived edge not covered");
@@ -81,23 +82,15 @@ bool Validator::structural_checks(const chain::Block& block, ValidationReport& r
   if (!published.is_topological_order(schedule.serial_order)) {
     return fail(RejectReason::kBadSerialOrder, "serial order inconsistent with graph");
   }
-  return true;
+  return published;
 }
 
 ValidationReport Validator::validate_parallel(const chain::Block& block) {
   ValidationReport report;
-  if (!structural_checks(block, report)) return report;
+  const std::optional<graph::HappensBeforeGraph> published = structural_checks(block, report);
+  if (!published) return report;
 
   const std::size_t n = block.transactions.size();
-  const graph::HappensBeforeGraph published = block.schedule.to_graph(n);
-
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  std::vector<std::vector<std::uint32_t>> succs(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    preds[i] = published.predecessors(i);
-    succs[i] = published.successors(i);
-  }
-
   std::vector<vm::TxStatus> statuses(n, vm::TxStatus::kSuccess);
   std::atomic<bool> profile_mismatch{false};
 
@@ -107,7 +100,7 @@ ValidationReport Validator::validate_parallel(const chain::Block& block) {
   // acquired. A replay that throws still lets the DAG drain; the pool
   // rethrows here afterwards.
   try {
-    pool_.run_dag(n, preds, succs, [&](std::uint32_t i) {
+    pool_.run_dag(published->successor_lists(), [&](std::uint32_t i) {
       vm::TraceRecorder trace;
       statuses[i] = engine_.execute_traced(block.transactions[i], trace);
       const stm::LockProfile& expected = block.schedule.profiles[i];

@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "chain/block.hpp"
 #include "core/execution_engine.hpp"
+#include "graph/happens_before.hpp"
 #include "sched/fork_join.hpp"
 #include "vm/gas.hpp"
 #include "vm/world.hpp"
@@ -94,9 +96,11 @@ class Validator {
   [[nodiscard]] unsigned threads() const noexcept { return pool_.size(); }
 
  private:
-  /// Checks everything that does not require re-execution. Returns true
-  /// when `report` is still clean.
-  bool structural_checks(const chain::Block& block, ValidationReport& report) const;
+  /// Checks everything that does not require re-execution. Returns the
+  /// published happens-before graph when `report` is still clean, so the
+  /// replay runs on the graph the checks accepted.
+  std::optional<graph::HappensBeforeGraph> structural_checks(const chain::Block& block,
+                                                             ValidationReport& report) const;
 
   ValidatorConfig config_;
   ExecutionEngine engine_;

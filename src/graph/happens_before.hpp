@@ -30,6 +30,11 @@ class HappensBeforeGraph {
   [[nodiscard]] const std::vector<std::uint32_t>& successors(std::uint32_t u) const {
     return successors_[u];
   }
+  /// Every node's successor list, indexed by node (what
+  /// sched::ForkJoinPool::run_dag consumes).
+  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& successor_lists() const noexcept {
+    return successors_;
+  }
   [[nodiscard]] const std::vector<std::uint32_t>& predecessors(std::uint32_t v) const {
     return predecessors_[v];
   }

@@ -377,8 +377,6 @@ void Node::fold_lane_stats(const core::MinerStats& mined) {
   stats_.deadlock_victims += mined.deadlock_victims;
   stats_.lock_table_high_water =
       std::max(stats_.lock_table_high_water, mined.lock_table_high_water);
-  stats_.lock_table_memory_high_water =
-      std::max(stats_.lock_table_memory_high_water, mined.lock_table_memory_high_water);
 }
 
 chain::Block Node::mine_block(const Mempool::Window& window, const chain::Block& parent) {

@@ -164,7 +164,6 @@ struct NodeStats {
   std::uint64_t deadlock_victims = 0;
   std::size_t schedule_bytes = 0;
   std::size_t lock_table_high_water = 0;
-  std::size_t lock_table_memory_high_water = 0;  ///< Approx bytes (see LockTable).
   /// Arena counters of the miner lineage after the last mined block —
   /// cumulative for the whole run, since every fork shares the world's
   /// arena. All zero when the world runs the heap baseline.

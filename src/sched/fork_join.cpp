@@ -32,24 +32,26 @@ ForkJoinPool::~ForkJoinPool() {
   workers_.clear();
 }
 
-void ForkJoinPool::run_dag(std::size_t n,
-                           const std::vector<std::vector<std::uint32_t>>& predecessors,
-                           const std::vector<std::vector<std::uint32_t>>& successors,
+void ForkJoinPool::run_dag(std::span<const std::vector<std::uint32_t>> successors,
                            const std::function<void(std::uint32_t)>& body) {
-  assert(predecessors.size() == n && successors.size() == n);
+  const std::size_t n = successors.size();
   if (n == 0) return;
 
   Job job;
   job.n = n;
-  job.successors = &successors;
+  job.successors = successors.data();
   job.body = &body;
   job.pending = std::vector<std::atomic<std::int32_t>>(n);
+  for (const auto& succs : successors) {
+    for (const std::uint32_t succ : succs) {
+      assert(succ < n);
+      job.pending[succ].fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 
   std::size_t roots = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto preds = static_cast<std::int32_t>(predecessors[i].size());
-    job.pending[i].store(preds, std::memory_order_relaxed);
-    if (preds == 0) ++roots;
+  for (const auto& pending : job.pending) {
+    if (pending.load(std::memory_order_relaxed) == 0) ++roots;
   }
   if (roots == 0) {
     throw std::invalid_argument("run_dag: graph has no roots (cycle); validate first");
@@ -144,7 +146,7 @@ void ForkJoinPool::execute(Job& job, unsigned self, std::uint32_t task) {
     if (!job.error) job.error = std::current_exception();
   }
   if (job.successors != nullptr) {
-    for (const std::uint32_t succ : (*job.successors)[task]) {
+    for (const std::uint32_t succ : job.successors[task]) {
       if (job.pending[succ].fetch_sub(1, std::memory_order_acq_rel) == 1) {
         deques_[self]->push(succ);
       }

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -47,13 +48,12 @@ class ForkJoinPool {
   ForkJoinPool(const ForkJoinPool&) = delete;
   ForkJoinPool& operator=(const ForkJoinPool&) = delete;
 
-  /// Executes tasks 0..n-1. `predecessors[i]` lists the tasks that must
-  /// finish before task i starts; `successors[i]` the reverse edges (both
-  /// views are required so neither needs recomputation here). `body(i)`
-  /// runs exactly once per task. Throws std::invalid_argument for a
-  /// non-empty graph with no roots.
-  void run_dag(std::size_t n, const std::vector<std::vector<std::uint32_t>>& predecessors,
-               const std::vector<std::vector<std::uint32_t>>& successors,
+  /// Executes tasks 0..n-1, n = successors.size(). `successors[i]` lists
+  /// the tasks that wait for task i (no duplicates); each task's
+  /// in-degree is counted from these lists. `body(i)` runs exactly once
+  /// per task. Throws std::invalid_argument for a non-empty graph with no
+  /// roots.
+  void run_dag(std::span<const std::vector<std::uint32_t>> successors,
                const std::function<void(std::uint32_t)>& body);
 
   /// Executes n independent tasks. Workers claim them from a shared
@@ -73,9 +73,9 @@ class ForkJoinPool {
   struct Job {
     std::size_t n = 0;
     const std::function<void(std::uint32_t)>* body = nullptr;
-    /// Reverse edges of a DAG; null for a batch, whose tasks come from
-    /// `next` instead of the deques.
-    const std::vector<std::vector<std::uint32_t>>* successors = nullptr;
+    /// Successor lists of a DAG, n of them; null for a batch, whose tasks
+    /// come from `next` instead of the deques.
+    const std::vector<std::uint32_t>* successors = nullptr;
     std::vector<std::atomic<std::int32_t>> pending;  ///< Unfinished predecessor counts (DAG).
     std::atomic<std::size_t> next{0};                ///< Next unclaimed task (batch).
     std::atomic<std::size_t> remaining{0};           ///< Tasks not yet executed.

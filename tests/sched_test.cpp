@@ -78,11 +78,19 @@ TEST(Deque, OwnerAndThievesNoDuplicatesNoLosses) {
 
 // --------------------------------------------------------- ForkJoin ----
 
-std::vector<std::vector<std::uint32_t>> invert(
-    const std::vector<std::vector<std::uint32_t>>& preds, std::size_t n) {
+/// Successor lists of the chain 0 → 1 → … → n-1.
+std::vector<std::vector<std::uint32_t>> chain_of(std::size_t n) {
   std::vector<std::vector<std::uint32_t>> succs(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    for (const std::uint32_t u : preds[v]) succs[u].push_back(v);
+  for (std::uint32_t i = 0; i + 1 < n; ++i) succs[i] = {i + 1};
+  return succs;
+}
+
+/// Successor lists of the diamond 0 → {1..8} → 9.
+std::vector<std::vector<std::uint32_t>> diamond() {
+  std::vector<std::vector<std::uint32_t>> succs(10);
+  for (std::uint32_t i = 1; i < 9; ++i) {
+    succs[0].push_back(i);
+    succs[i] = {9};
   }
   return succs;
 }
@@ -91,9 +99,9 @@ TEST(ForkJoin, ExecutesEveryTaskOnce) {
   // An edgeless DAG, once through run_dag and once as a batch.
   ForkJoinPool pool(3);
   constexpr std::size_t n = 500;
-  std::vector<std::vector<std::uint32_t>> preds(n);
+  const std::vector<std::vector<std::uint32_t>> succs(n);
   std::vector<std::atomic<int>> runs(n);
-  pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t i) { runs[i].fetch_add(1); });
+  pool.run_dag(succs, [&](std::uint32_t i) { runs[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1);
   pool.run_batch(n, [&](std::uint32_t i) { runs[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 2);
@@ -102,11 +110,9 @@ TEST(ForkJoin, ExecutesEveryTaskOnce) {
 TEST(ForkJoin, RespectsChainOrder) {
   ForkJoinPool pool(3);
   constexpr std::size_t n = 100;
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  for (std::uint32_t i = 1; i < n; ++i) preds[i] = {i - 1};
   std::vector<std::uint32_t> order;
   std::mutex mu;
-  pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t i) {
+  pool.run_dag(chain_of(n), [&](std::uint32_t i) {
     std::scoped_lock lk(mu);
     order.push_back(i);
   });
@@ -116,15 +122,10 @@ TEST(ForkJoin, RespectsChainOrder) {
 
 TEST(ForkJoin, RespectsDiamondDependencies) {
   ForkJoinPool pool(4);
-  // 0 → {1..8} → 9.
-  constexpr std::size_t n = 10;
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  for (std::uint32_t i = 1; i < 9; ++i) preds[i] = {0};
-  for (std::uint32_t i = 1; i < 9; ++i) preds[9].push_back(i);
   std::atomic<int> started_mid{0};
   std::atomic<bool> root_done{false};
   std::atomic<bool> sink_saw_all{false};
-  pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t i) {
+  pool.run_dag(diamond(), [&](std::uint32_t i) {
     if (i == 0) {
       root_done.store(true);
     } else if (i == 9) {
@@ -142,11 +143,10 @@ TEST(ForkJoin, ParallelismActuallyHappens) {
   // the other. Two workers must hold them at once for both to see the
   // pair; no sleep length decides the outcome.
   ForkJoinPool pool(3);
-  constexpr std::size_t n = 2;
-  std::vector<std::vector<std::uint32_t>> preds(n);
+  const std::vector<std::vector<std::uint32_t>> succs(2);
   std::atomic<int> running{0};
   std::atomic<int> peak{0};
-  pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t) {
+  pool.run_dag(succs, [&](std::uint32_t) {
     const int now = running.fetch_add(1) + 1;
     int expected = peak.load();
     while (now > expected && !peak.compare_exchange_weak(expected, now)) {
@@ -161,10 +161,10 @@ TEST(ForkJoin, ReusableAcrossRuns) {
   ForkJoinPool pool(2);
   for (int round = 0; round < 20; ++round) {
     constexpr std::size_t n = 50;
-    std::vector<std::vector<std::uint32_t>> preds(n);
-    for (std::uint32_t i = 1; i < n; ++i) preds[i] = {static_cast<std::uint32_t>(i / 2)};
+    std::vector<std::vector<std::uint32_t>> succs(n);
+    for (std::uint32_t i = 1; i < n; ++i) succs[i / 2].push_back(i);
     std::atomic<int> count{0};
-    pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t) { count.fetch_add(1); });
+    pool.run_dag(succs, [&](std::uint32_t) { count.fetch_add(1); });
     pool.run_batch(n, [&](std::uint32_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), static_cast<int>(2 * n));
   }
@@ -172,16 +172,15 @@ TEST(ForkJoin, ReusableAcrossRuns) {
 
 TEST(ForkJoin, EmptyDagReturnsImmediately) {
   ForkJoinPool pool(2);
-  pool.run_dag(0, {}, {}, [](std::uint32_t) { FAIL(); });
+  pool.run_dag({}, [](std::uint32_t) { FAIL(); });
   pool.run_batch(0, [](std::uint32_t) { FAIL(); });
   SUCCEED();
 }
 
 TEST(ForkJoin, RootlessGraphThrows) {
   ForkJoinPool pool(2);
-  std::vector<std::vector<std::uint32_t>> preds = {{1}, {0}};  // 2-cycle.
-  EXPECT_THROW(pool.run_dag(2, preds, invert(preds, 2), [](std::uint32_t) {}),
-               std::invalid_argument);
+  const std::vector<std::vector<std::uint32_t>> succs = {{1}, {0}};  // 2-cycle.
+  EXPECT_THROW(pool.run_dag(succs, [](std::uint32_t) {}), std::invalid_argument);
 }
 
 TEST(ForkJoin, ShutdownStress) {
@@ -193,14 +192,12 @@ TEST(ForkJoin, ShutdownStress) {
   // the tightest window, with workers still starting up.
   constexpr int kIterations = 120;
   constexpr std::size_t n = 8;
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  for (std::uint32_t i = 1; i < n; ++i) preds[i] = {i - 1};
-  const auto succs = invert(preds, n);
+  const auto succs = chain_of(n);
   for (int iter = 0; iter < kIterations; ++iter) {
     ForkJoinPool pool(4);
     if (iter % 2 == 0) {
       std::atomic<int> count{0};
-      pool.run_dag(n, preds, succs, [&](std::uint32_t) { count.fetch_add(1); });
+      pool.run_dag(succs, [&](std::uint32_t) { count.fetch_add(1); });
       EXPECT_EQ(count.load(), static_cast<int>(n));
     }
   }
@@ -209,11 +206,11 @@ TEST(ForkJoin, ShutdownStress) {
 TEST(ForkJoin, SingleWorkerStillCompletesDag) {
   ForkJoinPool pool(1);
   constexpr std::size_t n = 64;
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  for (std::uint32_t i = 2; i < n; ++i) preds[i] = {i - 1, i - 2};
-  preds[1] = {0};
+  std::vector<std::vector<std::uint32_t>> succs(n);
+  for (std::uint32_t i = 0; i + 1 < n; ++i) succs[i].push_back(i + 1);
+  for (std::uint32_t i = 0; i + 2 < n; ++i) succs[i].push_back(i + 2);
   std::atomic<int> count{0};
-  pool.run_dag(n, preds, invert(preds, n), [&](std::uint32_t) { count.fetch_add(1); });
+  pool.run_dag(succs, [&](std::uint32_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), static_cast<int>(n));
 }
 
@@ -242,15 +239,14 @@ struct TaskError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Runs `preds` with task `thrower` throwing, checks the exception
-/// reaches the caller only after every other task ran exactly once, then
-/// checks the same pool runs the DAG again cleanly.
-void expect_error_drains(ForkJoinPool& pool, const std::vector<std::vector<std::uint32_t>>& preds,
+/// Runs the DAG `succs` with task `thrower` throwing, checks the
+/// exception reaches the caller only after every other task ran exactly
+/// once, then checks the same pool runs the DAG again cleanly.
+void expect_error_drains(ForkJoinPool& pool, const std::vector<std::vector<std::uint32_t>>& succs,
                          std::uint32_t thrower) {
-  const std::size_t n = preds.size();
-  const auto succs = invert(preds, n);
+  const std::size_t n = succs.size();
   std::vector<std::atomic<int>> runs(n);
-  EXPECT_THROW(pool.run_dag(n, preds, succs,
+  EXPECT_THROW(pool.run_dag(succs,
                             [&](std::uint32_t i) {
                               runs[i].fetch_add(1);
                               if (i == thrower) throw TaskError("task failed");
@@ -260,27 +256,20 @@ void expect_error_drains(ForkJoinPool& pool, const std::vector<std::vector<std::
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << "task " << i;
 
   std::atomic<int> count{0};
-  pool.run_dag(n, preds, succs, [&](std::uint32_t) { count.fetch_add(1); });
+  pool.run_dag(succs, [&](std::uint32_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), static_cast<int>(n));
 }
 
 TEST(ForkJoinErrors, ChainRethrowsAfterDrain) {
   ForkJoinPool pool(3);
-  constexpr std::size_t n = 50;
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  for (std::uint32_t i = 1; i < n; ++i) preds[i] = {i - 1};
-  expect_error_drains(pool, preds, 10);
+  expect_error_drains(pool, chain_of(50), 10);
 }
 
 TEST(ForkJoinErrors, DiamondRethrowsAfterDrain) {
   ForkJoinPool pool(4);
-  // 0 → {1..8} → 9, with the root throwing: every successor still runs.
-  constexpr std::size_t n = 10;
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  for (std::uint32_t i = 1; i < 9; ++i) preds[i] = {0};
-  for (std::uint32_t i = 1; i < 9; ++i) preds[9].push_back(i);
-  expect_error_drains(pool, preds, 0);
-  expect_error_drains(pool, preds, 4);
+  // The diamond with the root throwing: every successor still runs.
+  expect_error_drains(pool, diamond(), 0);
+  expect_error_drains(pool, diamond(), 4);
 }
 
 TEST(ForkJoinErrors, BatchRethrowsAfterDrain) {
