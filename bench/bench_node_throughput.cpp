@@ -4,13 +4,12 @@
 // versus the unpipelined mine-then-validate baseline on the identical
 // transaction stream. This is the regime the one-shot figure benches
 // can't see — and the regime follow-on frameworks (OptSmart et al.)
-// evaluate. It is the repository's only pipeline-depth and shard-count
-// sweep; bench/e2e runs one shard at depth 2.
+// evaluate. It is the repository's only pipeline-depth sweep; bench/e2e
+// runs depth 2.
 //
 // Usage: bench_node_throughput [--quick] [--samples=N] [--threads=N]
 //                              [--blocks=N] [--block-txs=N]
-//                              [--pipeline-depth=1,2,4]
-//                              [--mine-shards=1,2,4] ...
+//                              [--pipeline-depth=1,2,4] ...
 
 #include <cstdio>
 #include <cstdlib>
@@ -41,8 +40,7 @@ struct ModeResult {
 /// the node driving both stages to drain. `pipeline_depth` is the
 /// handoff ring's capacity; ignored by the sequential baseline.
 node::NodeStats run_stream(const workload::StreamSpec& spec, const bench::RunConfig& config,
-                           bool pipelined, std::size_t pipeline_depth,
-                           std::uint32_t mine_shards = 1) {
+                           bool pipelined, std::size_t pipeline_depth) {
   workload::Fixture fixture = workload::make_stream_fixture(spec);
   std::vector<chain::Transaction> stream = std::move(fixture.transactions);
 
@@ -57,7 +55,6 @@ node::NodeStats run_stream(const workload::StreamSpec& spec, const bench::RunCon
   node_config.mempool_capacity = 4 * spec.txs_per_block;  // Realistic backpressure.
   node_config.pipelined = pipelined;
   node_config.pipeline_depth = pipeline_depth;
-  node_config.mine_shards = mine_shards;
   node_config.mining = node::MiningMode::kSpeculative;
 
   node::Node node(std::move(fixture.world), node_config);
@@ -75,12 +72,11 @@ node::NodeStats run_stream(const workload::StreamSpec& spec, const bench::RunCon
 }
 
 ModeResult measure_mode(const workload::StreamSpec& spec, const bench::RunConfig& config,
-                        bool pipelined, std::size_t pipeline_depth,
-                        std::uint32_t mine_shards = 1) {
+                        bool pipelined, std::size_t pipeline_depth) {
   ModeResult result;
   std::vector<double> runs;
   for (int r = 0; r < config.warmups + config.samples; ++r) {
-    const node::NodeStats stats = run_stream(spec, config, pipelined, pipeline_depth, mine_shards);
+    const node::NodeStats stats = run_stream(spec, config, pipelined, pipeline_depth);
     if (r >= config.warmups) runs.push_back(stats.wall_ms);
     result.last = stats;
   }
@@ -111,7 +107,6 @@ int main(int argc, char** argv) {
   base.txs_per_block = config.quick ? 50 : 150;
   base.conflict_percent = 15;
   std::vector<std::size_t> depths{1, 2, 4};
-  std::vector<std::size_t> shard_axis{1, 2, 4};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.starts_with("--blocks=")) base.blocks = std::strtoul(arg.data() + 9, nullptr, 10);
@@ -121,15 +116,12 @@ int main(int argc, char** argv) {
     if (arg.starts_with("--pipeline-depth=")) {
       depths = parse_depths(arg.substr(17));
     }
-    if (arg.starts_with("--mine-shards=")) {
-      shard_axis = parse_depths(arg.substr(14));
-    }
   }
-  if (base.blocks == 0 || base.txs_per_block == 0 || depths.empty() || shard_axis.empty()) {
+  if (base.blocks == 0 || base.txs_per_block == 0 || depths.empty()) {
     // A typo'd flag must not print a degenerate zero-throughput point.
     std::fprintf(stderr,
                  "bench_node_throughput: --blocks/--block-txs must be positive integers and "
-                 "--pipeline-depth/--mine-shards comma lists of positive values\n");
+                 "--pipeline-depth a comma list of positive values\n");
     return 2;
   }
 
@@ -162,42 +154,6 @@ int main(int argc, char** argv) {
                   pipelined.tx_per_sec(), overlap, pipelined.last.mine_ms,
                   pipelined.last.validate_ms,
                   pipelined.last.handoff_wait_ms + pipelined.last.validator_stall_ms);
-      std::fflush(stdout);
-    }
-  }
-
-  // Shard scaling lane: parallel block production through the sharded
-  // mempool and the deterministic merge layer, at ring depth 1 so the
-  // axis isolates lane parallelism from pipeline overlap. shards=1 is
-  // the depth sweep above (the exact single-miner path).
-  bool shard_header_printed = false;
-  for (const workload::BenchmarkKind kind : workload::kAllBenchmarks) {
-    workload::StreamSpec spec = base;
-    spec.kind = kind;
-
-    ModeResult lane1;  // shards=1 reference at the same ring depth.
-    bool have_lane1 = false;
-    for (const std::size_t shards : shard_axis) {
-      if (shards <= 1) continue;
-      if (!shard_header_printed) {
-        std::printf("# %-14s %6s %10s %14s %14s %9s %12s %12s\n", "shard-scaling", "shards",
-                    "blocks", "1shard_tx/s", "nshard_tx/s", "speedup", "xshard", "requeued");
-        shard_header_printed = true;
-      }
-      if (!have_lane1) {
-        lane1 = measure_mode(spec, config, /*pipelined=*/true, 1, /*mine_shards=*/1);
-        have_lane1 = true;
-      }
-      const ModeResult sharded = measure_mode(spec, config, /*pipelined=*/true, 1,
-                                              static_cast<std::uint32_t>(shards));
-      const double speedup =
-          sharded.wall.mean_ms > 0 ? lane1.wall.mean_ms / sharded.wall.mean_ms : 0.0;
-      std::printf("%-16s %6zu %10llu %14.0f %14.0f %8.2fx %12llu %12llu\n",
-                  std::string(workload::to_string(kind)).c_str(), shards,
-                  static_cast<unsigned long long>(sharded.last.blocks), lane1.tx_per_sec(),
-                  sharded.tx_per_sec(), speedup,
-                  static_cast<unsigned long long>(sharded.last.cross_shard_conflicts),
-                  static_cast<unsigned long long>(sharded.last.requeued_transactions));
       std::fflush(stdout);
     }
   }

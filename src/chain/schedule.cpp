@@ -49,8 +49,6 @@ void BlockSchedule::encode(util::ByteWriter& w) const {
   }
   w.put_varint(serial_order.size());
   for (const std::uint32_t t : serial_order) w.put_varint(t);
-  w.put_varint(shard_lanes.size());
-  for (const std::uint32_t c : shard_lanes) w.put_varint(c);
 }
 
 BlockSchedule BlockSchedule::decode(util::ByteReader& r) {
@@ -69,11 +67,6 @@ BlockSchedule BlockSchedule::decode(util::ByteReader& r) {
   s.serial_order.reserve(no);
   for (std::uint64_t i = 0; i < no; ++i) {
     s.serial_order.push_back(static_cast<std::uint32_t>(r.get_varint()));
-  }
-  const std::uint64_t nl = r.get_count(/*min_item_bytes=*/1);
-  s.shard_lanes.reserve(nl);
-  for (std::uint64_t i = 0; i < nl; ++i) {
-    s.shard_lanes.push_back(static_cast<std::uint32_t>(r.get_varint()));
   }
   return s;
 }

@@ -24,13 +24,6 @@ struct BlockSchedule {
   std::vector<stm::LockProfile> profiles;                    ///< Indexed by tx.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  ///< Happens-before.
   std::vector<std::uint32_t> serial_order;                   ///< S, a topo sort.
-  /// Sub-schedule structure of a shard-merged block: how many of the
-  /// block's transactions (in merged order) each producing shard lane
-  /// contributed. Empty for single-miner blocks. Validators replay the
-  /// merged schedule unchanged — the lane boundaries exist so depth-k
-  /// recovery, re-org resume and lane-level diagnostics can recover the
-  /// per-shard sub-blocks without re-running the shard router.
-  std::vector<std::uint32_t> shard_lanes;
 
   friend bool operator==(const BlockSchedule&, const BlockSchedule&) = default;
 

@@ -15,45 +15,22 @@ Miner::Miner(vm::World& world, MinerConfig config)
   if (config_.lock_table_reserve > 0) runtime_.locks().reserve(config_.lock_table_reserve);
 }
 
-void Miner::bind_arena_stripe() {
-  if (affinity_width_ == 0) return;
-  // One bind per (thread, miner): pool workers live as long as the miner,
-  // so after the first task this is a single thread_local compare. The
-  // node's lane-pool workers serve a different lane miner from block to
-  // block and re-bind whenever they switch — the cursor keeps rotating
-  // them through each miner's stripe slice.
-  static thread_local const Miner* bound_for = nullptr;
-  static thread_local unsigned bound_value = 0;
-  if (bound_for != this) {
-    bound_for = this;
-    bound_value =
-        affinity_base_ + affinity_cursor_.fetch_add(1, std::memory_order_relaxed) % affinity_width_;
-  }
-  vm::PageArena::bind_thread_stripe(bound_value);
-}
-
-void Miner::run_speculative(const std::vector<chain::Transaction>& txs,
-                            std::vector<stm::LockProfile>& profiles,
-                            std::vector<vm::TxStatus>& statuses,
-                            std::vector<stm::AccessRecorder>& logs) {
+chain::Block Miner::mine(const std::vector<chain::Transaction>& txs, const chain::Block& parent) {
   const auto n = static_cast<std::uint32_t>(txs.size());
-  bind_arena_stripe();  // The calling thread assembles here too.
   runtime_.reset();  // "When a miner starts a block, it sets these counters to zero."
   stats_ = MinerStats{};
   stats_.transactions = n;
 
-  profiles.assign(n, stm::LockProfile{});
-  statuses.assign(n, vm::TxStatus::kSuccess);
+  std::vector<stm::LockProfile> profiles(n);
+  std::vector<vm::TxStatus> statuses(n, vm::TxStatus::kSuccess);
   std::atomic<std::uint64_t> attempts{0};
   std::atomic<std::uint64_t> aborts{0};
 
   // ConcordSan logs, one per transaction. Pool workers write only their
   // own slot, so the preallocated vector needs no synchronization.
-  logs.clear();
-  logs.resize(config_.detect ? n : 0);
+  std::vector<stm::AccessRecorder> logs(config_.detect ? n : 0);
 
   pool_.run_batch(n, [&](std::uint32_t i) {
-    bind_arena_stripe();
     SpeculativeOutcome outcome = engine_.execute_speculative(
         runtime_, i, txs[i], config_.max_attempts, logs.empty() ? nullptr : &logs[i]);
     profiles[i] = std::move(outcome.profile);
@@ -66,22 +43,22 @@ void Miner::run_speculative(const std::vector<chain::Transaction>& txs,
   stats_.conflict_aborts = aborts.load(std::memory_order_relaxed);
   stats_.deadlock_victims = runtime_.deadlocks().victims();
   stats_.lock_table_high_water = runtime_.locks().high_water();
+
+  chain::Block block = assemble(txs, std::move(statuses), std::move(profiles), parent);
+  run_detect(block, logs);
+  return block;
 }
 
-void Miner::run_serial(const std::vector<chain::Transaction>& txs,
-                       std::vector<stm::LockProfile>& profiles,
-                       std::vector<vm::TxStatus>& statuses,
-                       std::vector<stm::AccessRecorder>& logs) {
+chain::Block Miner::mine_serial(const std::vector<chain::Transaction>& txs,
+                                const chain::Block& parent) {
   const auto n = static_cast<std::uint32_t>(txs.size());
-  bind_arena_stripe();
   stats_ = MinerStats{};
   stats_.transactions = n;
   stats_.attempts = n;
 
-  profiles.assign(n, stm::LockProfile{});
-  statuses.assign(n, vm::TxStatus::kSuccess);
-  logs.clear();
-  logs.resize(config_.detect ? n : 0);
+  std::vector<stm::LockProfile> profiles(n);
+  std::vector<vm::TxStatus> statuses(n, vm::TxStatus::kSuccess);
+  std::vector<stm::AccessRecorder> logs(config_.detect ? n : 0);
   // Synthetic use counters: serial execution *is* a lock-acquisition
   // order, so number each lock's holders 1, 2, 3… in block order.
   std::unordered_map<stm::LockId, std::uint64_t, stm::LockIdHash> counters;
@@ -97,107 +74,8 @@ void Miner::run_serial(const std::vector<chain::Transaction>& txs,
       profile.entries.push_back(stm::LockProfileEntry{lock, mode, ++counters[lock]});
     }
   }
-}
 
-chain::Block Miner::mine(const std::vector<chain::Transaction>& txs, const chain::Block& parent) {
-  std::vector<stm::LockProfile> profiles;
-  std::vector<vm::TxStatus> statuses;
-  std::vector<stm::AccessRecorder> logs;
-  run_speculative(txs, profiles, statuses, logs);
   chain::Block block = assemble(txs, std::move(statuses), std::move(profiles), parent);
-  run_detect(block, logs);
-  return block;
-}
-
-chain::Block Miner::mine_serial(const std::vector<chain::Transaction>& txs,
-                                const chain::Block& parent) {
-  std::vector<stm::LockProfile> profiles;
-  std::vector<vm::TxStatus> statuses;
-  std::vector<stm::AccessRecorder> logs;
-  run_serial(txs, profiles, statuses, logs);
-  chain::Block block = assemble(txs, std::move(statuses), std::move(profiles), parent);
-  run_detect(block, logs);
-  return block;
-}
-
-Miner::LaneResult Miner::mine_lane(const std::vector<chain::Transaction>& txs) {
-  std::vector<stm::LockProfile> profiles;
-  std::vector<vm::TxStatus> statuses;
-  std::vector<stm::AccessRecorder> logs;
-  run_speculative(txs, profiles, statuses, logs);
-
-  // Re-sort the lane into its derived schedule's serial order, so the
-  // published lane order is a topological order of the lane's own graph
-  // (chain::merge_shards's stated precondition). Counters are left
-  // untouched — the per-lock holder sequence is a property of the
-  // execution, not of the labeling — and profile.tx is remapped to the
-  // new position, which relabels the derived graph without changing it.
-  const std::size_t n = txs.size();
-  const graph::HappensBeforeGraph hb = graph::derive_happens_before(profiles, n);
-  auto order = hb.topological_order();
-  if (!order) throw std::logic_error("derived happens-before graph is cyclic");
-
-  LaneResult result;
-  result.lane.transactions.reserve(n);
-  result.lane.statuses.reserve(n);
-  result.lane.profiles.reserve(n);
-  if (!logs.empty()) result.logs.reserve(n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const std::uint32_t i = (*order)[pos];
-    result.lane.transactions.push_back(txs[i]);
-    result.lane.statuses.push_back(statuses[i]);
-    stm::LockProfile profile = std::move(profiles[i]);
-    profile.tx = static_cast<std::uint32_t>(pos);
-    result.lane.profiles.push_back(std::move(profile));
-    if (!logs.empty()) result.logs.push_back(std::move(logs[i]));
-  }
-  return result;
-}
-
-Miner::LaneResult Miner::mine_lane_serial(const std::vector<chain::Transaction>& txs) {
-  LaneResult result;
-  std::vector<stm::LockProfile> profiles;
-  std::vector<vm::TxStatus> statuses;
-  run_serial(txs, profiles, statuses, result.logs);
-  result.lane.transactions = txs;
-  result.lane.statuses = std::move(statuses);
-  result.lane.profiles = std::move(profiles);
-  return result;
-}
-
-chain::Block Miner::seal_merged(chain::ShardMergeResult merged,
-                                std::vector<stm::AccessRecorder> lane0_logs,
-                                const chain::Block& parent) {
-  bind_arena_stripe();  // Lane 0 may have run on another thread.
-  const std::size_t n = merged.transactions.size();
-  std::vector<stm::AccessRecorder> logs(config_.detect ? n : 0);
-
-  // Merged order is lane-concatenated, so this loop replays lane 1's
-  // winners, then lane 2's, … serially on the primary world — lane 0's
-  // effects are already here from its own lane execution.
-  for (std::size_t m = 0; m < n; ++m) {
-    const chain::ShardOrigin origin = merged.origins[m];
-    if (origin.lane == 0) {
-      if (!logs.empty() && origin.local < lane0_logs.size()) {
-        logs[m] = std::move(lane0_logs[origin.local]);
-      }
-      continue;
-    }
-    vm::TraceRecorder trace;
-    const vm::TxStatus status = engine_.execute_traced(merged.transactions[m], trace,
-                                                       logs.empty() ? nullptr : &logs[m]);
-    if (status != merged.statuses[m] || !trace.matches(merged.profiles[m])) {
-      // Arbitration promises replay equivalence; divergence means the
-      // conflict relation (or the merge) is broken, not the workload.
-      throw std::logic_error("shard-merge replay diverged from its lane execution");
-    }
-  }
-
-  // Note: stats_ is NOT reset here — it still holds this miner's lane-0
-  // execution counters; assemble() adds the block-level fields on top.
-  chain::Block block = assemble(merged.transactions, std::move(merged.statuses),
-                                std::move(merged.profiles), parent,
-                                std::move(merged.lane_counts));
   run_detect(block, logs);
   return block;
 }
@@ -233,8 +111,7 @@ std::vector<vm::TxStatus> Miner::execute_serial_baseline(
 
 chain::Block Miner::assemble(const std::vector<chain::Transaction>& txs,
                              std::vector<vm::TxStatus> statuses,
-                             std::vector<stm::LockProfile> profiles, const chain::Block& parent,
-                             std::vector<std::uint32_t> shard_lanes) {
+                             std::vector<stm::LockProfile> profiles, const chain::Block& parent) {
   const std::size_t n = txs.size();
   const graph::HappensBeforeGraph hb = graph::derive_happens_before(profiles, n);
   auto order = hb.topological_order();
@@ -250,7 +127,6 @@ chain::Block Miner::assemble(const std::vector<chain::Transaction>& txs,
   block.schedule.profiles = std::move(profiles);
   block.schedule.edges = hb.edges();
   block.schedule.serial_order = std::move(*order);
-  block.schedule.shard_lanes = std::move(shard_lanes);
 
   block.header.number = parent.header.number + 1;
   block.header.parent_hash = parent.hash();

@@ -1,12 +1,10 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "chain/block.hpp"
-#include "chain/shard_merge.hpp"
 #include "chain/transaction.hpp"
 #include "core/execution_engine.hpp"
 #include "detect/detect.hpp"
@@ -106,41 +104,6 @@ class Miner {
   [[nodiscard]] chain::Block mine_serial(const std::vector<chain::Transaction>& txs,
                                          const chain::Block& parent);
 
-  /// One shard's contribution to a merged block: the lane body in its
-  /// schedule's serial order (so the lane order IS a topological order of
-  /// the lane's own happens-before graph, the precondition
-  /// chain::merge_shards states), plus the ConcordSan access logs when
-  /// detect is on. The caller stamps `lane.shard`.
-  struct LaneResult {
-    chain::ShardLane lane;
-    std::vector<stm::AccessRecorder> logs;  ///< Aligned with lane order; empty unless detect.
-  };
-
-  /// Speculative lane mining: Algorithm 1 without block assembly. Runs
-  /// `txs` through the speculative pool on this miner's world (a fork of
-  /// the block boundary for shard lanes ≥ 1), then re-sorts the outcome
-  /// into the derived schedule's serial order. No state root, no header
-  /// — per-lane O(state) work is exactly what the merge layer avoids.
-  [[nodiscard]] LaneResult mine_lane(const std::vector<chain::Transaction>& txs);
-
-  /// Serial flavor of mine_lane() (lane order = input order).
-  [[nodiscard]] LaneResult mine_lane_serial(const std::vector<chain::Transaction>& txs);
-
-  /// Turns a shard-merge result into the one sealed block, on the miner
-  /// that owns the PRIMARY world (lane 0's). Lane-0 winners already
-  /// executed here; every other lane's winners are replayed serially in
-  /// merged order, and each replay must reproduce the lane execution's
-  /// status and lock footprint — arbitration guarantees it (any lower-
-  /// lane winner that could change what a higher-lane winner observes
-  /// conflicts with it, making it a loser), so divergence is an
-  /// invariant violation (throws std::logic_error). `lane0_logs` are the
-  /// primary lane's ConcordSan logs (moved into the merged log vector);
-  /// replayed lanes are re-logged during replay. The assembled schedule
-  /// carries the merged lane_counts as BlockSchedule::shard_lanes.
-  [[nodiscard]] chain::Block seal_merged(chain::ShardMergeResult merged,
-                                         std::vector<stm::AccessRecorder> lane0_logs,
-                                         const chain::Block& parent);
-
   /// Plain serial execution; returns per-tx statuses. The §7 baseline.
   std::vector<vm::TxStatus> execute_serial_baseline(
       const std::vector<chain::Transaction>& txs);
@@ -154,19 +117,6 @@ class Miner {
   /// included) survive the resume.
   void resume_from(vm::World& world);
 
-  /// Binds this miner's executing threads (the speculative pool workers
-  /// and whatever thread drives the serial/lane path) to a slice of the
-  /// world arena's stripes: thread t → stripe (base + t mod width), mod
-  /// PageArena::kStripeCount. The node keys this by shard id so
-  /// concurrent lane miners recycle pages within their own stripe slice
-  /// instead of meeting on shared free lists (surfaced as
-  /// ArenaStats::steal_attempts/steal_hits). width 0 — the default —
-  /// keeps the process-wide round-robin. Call before mining, not during.
-  void set_arena_affinity(unsigned base, unsigned width) noexcept {
-    affinity_base_ = base;
-    affinity_width_ = width;
-  }
-
   [[nodiscard]] const MinerStats& last_stats() const noexcept { return stats_; }
   [[nodiscard]] unsigned threads() const noexcept { return pool_.size(); }
 
@@ -177,39 +127,16 @@ class Miner {
   }
 
  private:
-  /// Shared body of mine()/mine_lane(): speculative pool execution over
-  /// `txs`, filling profiles/statuses/logs (logs sized only when detect
-  /// is on) and the execution-side stats counters. A task's exception
-  /// propagates once the whole batch has run.
-  void run_speculative(const std::vector<chain::Transaction>& txs,
-                       std::vector<stm::LockProfile>& profiles,
-                       std::vector<vm::TxStatus>& statuses,
-                       std::vector<stm::AccessRecorder>& logs);
-
-  /// Shared body of mine_serial()/mine_lane_serial(): traced in-order
-  /// execution with synthetic use counters.
-  void run_serial(const std::vector<chain::Transaction>& txs,
-                  std::vector<stm::LockProfile>& profiles,
-                  std::vector<vm::TxStatus>& statuses,
-                  std::vector<stm::AccessRecorder>& logs);
-
   /// Builds the block: derives the happens-before graph from `profiles`,
-  /// topologically sorts it, snapshots the state root. `shard_lanes` is
-  /// the merged-block lane structure (empty for single-miner blocks).
+  /// topologically sorts it, snapshots the state root.
   [[nodiscard]] chain::Block assemble(const std::vector<chain::Transaction>& txs,
                                       std::vector<vm::TxStatus> statuses,
                                       std::vector<stm::LockProfile> profiles,
-                                      const chain::Block& parent,
-                                      std::vector<std::uint32_t> shard_lanes = {});
+                                      const chain::Block& parent);
 
   /// Runs ConcordSan over a just-assembled block when detect is on:
   /// populates detect_report_ and stats_.detect_violations.
   void run_detect(const chain::Block& block, std::span<const stm::AccessRecorder> logs);
-
-  /// Applies the arena-affinity plan to the calling thread (no-op when
-  /// width is 0 or the thread is already bound for this miner). Cheap
-  /// enough to call at every task start: one thread_local compare.
-  void bind_arena_stripe();
 
   MinerConfig config_;
   ExecutionEngine engine_;
@@ -217,12 +144,6 @@ class Miner {
   sched::ForkJoinPool pool_;
   MinerStats stats_;
   detect::DetectReport detect_report_;
-
-  // Arena-affinity plan (see set_arena_affinity): threads binding for
-  // this miner take stripes base, base+1, … base+width-1 round-robin.
-  unsigned affinity_base_ = 0;
-  unsigned affinity_width_ = 0;  ///< 0 = no affinity (global round-robin).
-  std::atomic<unsigned> affinity_cursor_{0};
 };
 
 }  // namespace concord::core

@@ -55,17 +55,6 @@ std::optional<graph::HappensBeforeGraph> Validator::structural_checks(
       return fail(RejectReason::kMalformedSchedule, "edge endpoint out of range");
     }
   }
-  // Shard-merged blocks record their lane structure; it must tile the
-  // block exactly (empty means single-miner — nothing to check). The
-  // lanes never change HOW the block replays, but recovery and re-org
-  // tooling trust them to recover the per-shard sub-blocks.
-  if (!schedule.shard_lanes.empty()) {
-    std::size_t lane_total = 0;
-    for (const std::uint32_t count : schedule.shard_lanes) lane_total += count;
-    if (lane_total != n) {
-      return fail(RejectReason::kMalformedSchedule, "shard lane counts do not tile the block");
-    }
-  }
 
   // "Naturally, the validator must be able to check that the proposed
   // schedule really is serializable": the published graph must imply

@@ -17,8 +17,8 @@ namespace concord::net {
 /// changes. Peers whose versions disagree cannot exchange blocks; the
 /// Hello handshake rejects the session up front instead of letting a
 /// decode error or a root mismatch masquerade as a Byzantine peer later.
-/// 2: header state roots use vm::World::kStateRootFormat 2.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// 2: state roots use vm::World::kStateRootFormat 2. 3: no shard-lane count.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Frame payload discriminator — the first payload byte of every frame.
 enum class MsgType : std::uint8_t {
@@ -43,9 +43,9 @@ struct Hello {
 
 /// A full serialized block pushed leader → follower. The block carries
 /// its complete BlockSchedule (profiles, happens-before edges, serial
-/// order, shard lanes), so the follower re-verifies the published
-/// schedule across the trust boundary exactly as the paper's validator
-/// does — nothing is taken on faith from the wire.
+/// order), so the follower re-verifies the published schedule across
+/// the trust boundary exactly as the paper's validator does — nothing
+/// is taken on faith from the wire.
 struct BlockAnnounce {
   chain::Block block;
 

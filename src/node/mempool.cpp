@@ -1,14 +1,13 @@
 #include "node/mempool.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 namespace concord::node {
 
-Mempool::Mempool(BatchPolicy policy, std::size_t capacity, std::uint32_t shards)
-    : policy_(policy), capacity_(capacity), shards_(shards) {
+Mempool::Mempool(BatchPolicy policy, std::size_t capacity)
+    : policy_(policy), capacity_(capacity) {
   if (policy_.target_txs == 0) {
     throw std::invalid_argument("mempool: target_txs must be positive");
   }
@@ -17,55 +16,30 @@ Mempool::Mempool(BatchPolicy policy, std::size_t capacity, std::uint32_t shards)
         "mempool: capacity smaller than target_txs would deadlock producers "
         "against a batch that can never fill");
   }
-  if (shards_ == 0) {
-    throw std::invalid_argument("mempool: shards must be positive");
-  }
-  queues_.resize(shards_);
-  shard_stats_.resize(shards_);
-}
-
-bool Mempool::entry_before(const Entry& a, const Entry& b) const noexcept {
-  if (policy_.content_order && a.content != b.content) return a.content < b.content;
-  return a.seq < b.seq;  // Arrival order; also the duplicate tiebreak.
-}
-
-void Mempool::enqueue(std::uint32_t shard, Entry entry) {
-  auto& q = queues_[shard];
-  if (policy_.content_order) {
-    // Canonical order is not arrival order: insert at the sorted position.
-    const auto pos =
-        std::lower_bound(q.begin(), q.end(), entry, [this](const Entry& a, const Entry& b) {
-          return entry_before(a, b);
-        });
-    q.insert(pos, std::move(entry));
-  } else if (!q.empty() && entry.seq < q.front().seq) {
-    q.push_front(std::move(entry));  // Requeued entries carry front stamps.
-  } else {
-    q.push_back(std::move(entry));
-  }
-  ++count_;
-  ShardStats& ss = shard_stats_[shard];
-  ss.high_water = std::max(ss.high_water, q.size());
-  stats_.high_water = std::max(stats_.high_water, count_);
 }
 
 bool Mempool::submit(chain::Transaction tx) {
   std::unique_lock lk(mu_);
-  space_available_.wait(lk,
-                        [this] { return closed_ || capacity_ == 0 || count_ < capacity_; });
+  space_available_.wait(
+      lk, [this] { return closed_ || capacity_ == 0 || queue_.size() < capacity_; });
   if (closed_) {
     ++stats_.rejected;
     return false;
   }
-  Entry entry;
-  if (policy_.content_order) entry.content = tx.hash();
-  entry.seq = next_seq_++;
   queued_gas_ += tx.gas_limit;
-  const std::uint32_t shard = shard_of(tx, shards_);
   ++stats_.submitted;
-  ++shard_stats_[shard].submitted;
-  entry.tx = std::move(tx);
-  enqueue(shard, std::move(entry));
+  if (policy_.content_order) {
+    // Canonical order is not arrival order: insert at the sorted position,
+    // after any equal hash so duplicates keep their arrival order.
+    Entry entry{tx.hash(), std::move(tx)};
+    const auto pos = std::upper_bound(
+        queue_.begin(), queue_.end(), entry,
+        [](const Entry& a, const Entry& b) { return a.content < b.content; });
+    queue_.insert(pos, std::move(entry));
+  } else {
+    queue_.push_back(Entry{{}, std::move(tx)});
+  }
+  stats_.high_water = std::max(stats_.high_water, queue_.size());
   lk.unlock();
   batch_available_.notify_one();
   return true;
@@ -89,56 +63,15 @@ std::size_t Mempool::submit_many(std::vector<chain::Transaction> txs) {
   return accepted;
 }
 
-void Mempool::requeue_front(const std::vector<chain::Transaction>& txs) {
-  if (txs.empty()) return;
-  {
-    std::scoped_lock lk(mu_);
-    // Stamp the batch with seqs just below the current global front, in
-    // the given order, then insert back-to-front so each shard queue
-    // receives its members via push_front in the right relative order.
-    front_seq_ -= static_cast<std::int64_t>(txs.size());
-    for (std::size_t k = txs.size(); k-- > 0;) {
-      Entry entry;
-      if (policy_.content_order) entry.content = txs[k].hash();
-      entry.seq = front_seq_ + static_cast<std::int64_t>(k);
-      queued_gas_ += txs[k].gas_limit;
-      const std::uint32_t shard = shard_of(txs[k], shards_);
-      ++stats_.requeued;
-      ++shard_stats_[shard].requeued;
-      entry.tx = txs[k];
-      enqueue(shard, std::move(entry));
-    }
-  }
-  batch_available_.notify_one();
-}
-
 std::optional<std::vector<chain::Transaction>> Mempool::next_batch() {
   std::unique_lock lk(mu_);
   batch_available_.wait(lk, [this] { return batch_ready() || closed_; });
-  if (count_ == 0) return std::nullopt;  // Closed and fully drained.
-  auto window = cut_window();
+  if (queue_.empty()) return std::nullopt;  // Closed and fully drained.
+  std::vector<chain::Transaction> batch = cut_batch();
   ++stats_.batches;
   lk.unlock();
   space_available_.notify_all();
-  std::vector<chain::Transaction> batch;
-  batch.reserve(window.size());
-  for (auto& [shard, tx] : window) batch.push_back(std::move(tx));
   return batch;
-}
-
-std::optional<Mempool::Window> Mempool::next_window() {
-  std::unique_lock lk(mu_);
-  batch_available_.wait(lk, [this] { return batch_ready() || closed_; });
-  if (count_ == 0) return std::nullopt;  // Closed and fully drained.
-  auto window = cut_window();
-  ++stats_.batches;
-  lk.unlock();
-  space_available_.notify_all();
-  Window w;
-  w.lanes.resize(shards_);
-  w.transactions = window.size();
-  for (auto& [shard, tx] : window) w.lanes[shard].push_back(std::move(tx));
-  return w;
 }
 
 void Mempool::close() {
@@ -157,17 +90,12 @@ bool Mempool::closed() const {
 
 std::size_t Mempool::size() const {
   std::scoped_lock lk(mu_);
-  return count_;
+  return queue_.size();
 }
 
 MempoolStats Mempool::stats() const {
   std::scoped_lock lk(mu_);
   return stats_;
-}
-
-std::vector<ShardStats> Mempool::shard_stats() const {
-  std::scoped_lock lk(mu_);
-  return shard_stats_;
 }
 
 bool Mempool::batch_ready() const {
@@ -177,32 +105,22 @@ bool Mempool::batch_ready() const {
   // readiness compares the running queue total: gas limits are
   // non-negative, so total ≥ target implies some prefix reaches the
   // target — no per-wakeup queue walk needed.
-  if (count_ >= policy_.target_txs) return true;
+  if (queue_.size() >= policy_.target_txs) return true;
   return policy_.target_gas != 0 && queued_gas_ >= policy_.target_gas;
 }
 
-std::vector<std::pair<std::uint32_t, chain::Transaction>> Mempool::cut_window() {
-  std::vector<std::pair<std::uint32_t, chain::Transaction>> window;
+std::vector<chain::Transaction> Mempool::cut_batch() {
+  std::vector<chain::Transaction> batch;
   std::uint64_t gas = 0;
-  while (count_ > 0 && window.size() < policy_.target_txs) {
-    // Global-order front: the smallest head across the shard queues.
-    std::uint32_t best = shards_;
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-      if (queues_[s].empty()) continue;
-      if (best == shards_ || entry_before(queues_[s].front(), queues_[best].front())) {
-        best = s;
-      }
-    }
-    Entry entry = std::move(queues_[best].front());
-    queues_[best].pop_front();
-    --count_;
-    gas += entry.tx.gas_limit;
-    queued_gas_ -= entry.tx.gas_limit;
-    ++shard_stats_[best].cut;
-    window.emplace_back(best, std::move(entry.tx));
+  while (!queue_.empty() && batch.size() < policy_.target_txs) {
+    chain::Transaction tx = std::move(queue_.front().tx);
+    queue_.pop_front();
+    gas += tx.gas_limit;
+    queued_gas_ -= tx.gas_limit;
+    batch.push_back(std::move(tx));
     if (policy_.target_gas != 0 && gas >= policy_.target_gas) break;
   }
-  return window;
+  return batch;
 }
 
 }  // namespace concord::node

@@ -9,22 +9,9 @@
 #include <vector>
 
 #include "chain/transaction.hpp"
-#include "stm/lock_table.hpp"
 #include "util/sha256.hpp"
 
 namespace concord::node {
-
-/// The deterministic shard router: which of `shards` producer lanes a
-/// transaction belongs to. A pure function of transaction *content* —
-/// the contract's lock-space partition (stm::lock_partition_of over the
-/// contract address digest) — so the same transaction routes identically
-/// on every node, in every arrival order, at every queue depth. All of a
-/// contract's field locks share its partition, which is what keeps each
-/// mining lane's lock traffic inside its own slice of the lock space.
-[[nodiscard]] inline std::uint32_t shard_of(const chain::Transaction& tx,
-                                            std::uint32_t shards) noexcept {
-  return stm::lock_partition_of(tx.contract.stable_hash(), shards);
-}
 
 /// When the mempool cuts a block-sized batch. A batch closes as soon as
 /// either target is reached; gas is accumulated from each transaction's
@@ -42,21 +29,11 @@ struct BatchPolicy {
   /// Canonical content ordering: queue and cut in transaction-hash order
   /// instead of arrival order. With this, the batches a given queue
   /// *content* yields are independent even of the submission order — the
-  /// strongest determinism the pool offers (the shard-router purity tests
-  /// run on it). Off by default: arrival-order FIFO is the fair policy a
-  /// real ingress wants, and it is still a pure function of the
+  /// strongest determinism the pool offers (the shuffled-arrival chain
+  /// test runs on it). Off by default: arrival-order FIFO is the fair
+  /// policy a real ingress wants, and it is still a pure function of the
   /// submission order.
   bool content_order = false;
-};
-
-/// Per-shard slice of the pool's lifetime traffic — the backpressure
-/// view of one routing lane.
-struct ShardStats {
-  std::uint64_t submitted = 0;  ///< Transactions routed to this shard.
-  std::uint64_t cut = 0;        ///< Transactions handed to the miner.
-  /// Cross-shard merge losers re-queued into this shard.
-  std::uint64_t requeued = 0;
-  std::size_t high_water = 0;   ///< Max transactions queued in this shard.
 };
 
 /// Counters describing the pool's lifetime traffic.
@@ -65,39 +42,20 @@ struct MempoolStats {
   /// Transactions refused because the pool was closed — including the
   /// undelivered tail of a submit_many() stopped mid-stream.
   std::uint64_t rejected = 0;
-  std::uint64_t batches = 0;     ///< Batches/windows handed to the miner.
-  /// Transactions re-entered through requeue_front() (cross-shard merge
-  /// losers taking another lap).
-  std::uint64_t requeued = 0;
+  std::uint64_t batches = 0;     ///< Batches handed to the miner.
   std::size_t high_water = 0;    ///< Max transactions queued at once.
 };
 
 /// Thread-safe transaction queue with block batching — the node's
 /// ingress stage. Any number of producer threads submit(); one miner
-/// thread consumes next_batch()/next_window(). Producers block while the
-/// pool is at capacity (backpressure instead of unbounded memory under
-/// sustained overload); the consumer blocks until a full batch is
-/// available or the pool is closed, at which point the remainder drains
-/// as a final short batch.
-///
-/// Internally the queue is striped by the deterministic shard router:
-/// submit() routes each transaction to shard_of(tx) and each shard keeps
-/// its own ordered queue plus backpressure stats. Batch boundaries stay
-/// global — a window is the policy-sized prefix of the pool's global
-/// order (arrival seq, or content hash under BatchPolicy::content_order)
-/// regardless of how it spreads across shards — so a 1-shard pool cuts
-/// exactly the batches the pre-shard FIFO pool did.
+/// thread consumes next_batch(). Producers block while the pool is at
+/// capacity (backpressure instead of unbounded memory under sustained
+/// overload); the consumer blocks until a full batch is available or the
+/// pool is closed, at which point the remainder drains as a final short
+/// batch. The queue is kept in one global order: arrival, or content hash
+/// under BatchPolicy::content_order.
 class Mempool {
  public:
-  /// A window: one global batch cut, partitioned by the shard router.
-  /// lanes[s] holds the window's shard-s transactions in window order;
-  /// lanes.size() == shards(). The flat window (lanes merged back by
-  /// global order) is what next_batch() returns.
-  struct Window {
-    std::vector<std::vector<chain::Transaction>> lanes;
-    std::size_t transactions = 0;  ///< Total across lanes.
-  };
-
   /// `capacity` == 0 means unbounded (no producer backpressure). A
   /// bounded capacity must fit a full tx-count batch — otherwise
   /// producers would block at capacity while next_batch() waits for a
@@ -105,8 +63,7 @@ class Mempool {
   /// A target_gas unreachable within `capacity` transactions deadlocks
   /// the same way; the tx-count target (always enforced) is the cap's
   /// safety net, so keep target_txs ≤ capacity sized realistically.
-  /// `shards` ≥ 1 is the routing fan-out (throws on 0).
-  explicit Mempool(BatchPolicy policy = {}, std::size_t capacity = 0, std::uint32_t shards = 1);
+  explicit Mempool(BatchPolicy policy = {}, std::size_t capacity = 0);
 
   Mempool(const Mempool&) = delete;
   Mempool& operator=(const Mempool&) = delete;
@@ -120,25 +77,11 @@ class Mempool {
   /// undelivered tail counts as rejected).
   std::size_t submit_many(std::vector<chain::Transaction> txs);
 
-  /// Re-enters transactions at the FRONT of the global order (before
-  /// everything currently queued), preserving their given order — the
-  /// shard merge's loser lap. Deliberately exempt from both the closed
-  /// flag and the capacity gate: losers already consumed ingress
-  /// capacity once, and the mining stage must never block on its own
-  /// requeue. Under content_order the transactions simply re-enter the
-  /// canonical order instead (front position is meaningless there).
-  void requeue_front(const std::vector<chain::Transaction>& txs);
-
   /// Blocks until a policy-complete batch is available, then pops it off
   /// the queue front. After close(), drains whatever remains as one final
   /// (possibly short) batch; returns nullopt once closed *and* empty —
   /// the miner's shutdown signal.
   [[nodiscard]] std::optional<std::vector<chain::Transaction>> next_batch();
-
-  /// The sharded flavor of next_batch(): the same global cut, delivered
-  /// pre-partitioned into per-shard lanes for parallel mining. Identical
-  /// blocking/drain semantics.
-  [[nodiscard]] std::optional<Window> next_window();
 
   /// Stops accepting submissions and wakes every waiter. Idempotent.
   void close();
@@ -146,51 +89,32 @@ class Mempool {
   [[nodiscard]] bool closed() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const BatchPolicy& policy() const noexcept { return policy_; }
-  [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
   [[nodiscard]] MempoolStats stats() const;
-  /// Per-shard traffic/backpressure counters, indexed by shard.
-  [[nodiscard]] std::vector<ShardStats> shard_stats() const;
 
  private:
-  /// One queued transaction with its global-order key. `seq` is the
-  /// arrival sequence (negative for requeued front entries); `content`
-  /// is the transaction hash, computed only under content_order.
+  /// One queued transaction; `content` is its hash, computed only under
+  /// content_order.
   struct Entry {
     util::Hash256 content{};
-    std::int64_t seq = 0;
     chain::Transaction tx;
   };
-
-  /// Caller holds mu_. Global-order comparison between two queue heads.
-  [[nodiscard]] bool entry_before(const Entry& a, const Entry& b) const noexcept;
-
-  /// Caller holds mu_. Inserts into the shard's queue at the position the
-  /// global order dictates (push_back for FIFO arrivals, sorted insert
-  /// otherwise) and maintains counters.
-  void enqueue(std::uint32_t shard, Entry entry);
 
   /// Caller holds mu_. True when the queued content satisfies the policy.
   [[nodiscard]] bool batch_ready() const;
 
-  /// Caller holds mu_. Pops the policy-sized global-order prefix across
-  /// all shard queues; `.first` of each element is the source shard.
-  [[nodiscard]] std::vector<std::pair<std::uint32_t, chain::Transaction>> cut_window();
+  /// Caller holds mu_. Pops the policy-sized prefix of the queue.
+  [[nodiscard]] std::vector<chain::Transaction> cut_batch();
 
   BatchPolicy policy_;
   std::size_t capacity_;
-  std::uint32_t shards_;
 
   mutable std::mutex mu_;
   std::condition_variable space_available_;  ///< Producers wait here when full.
   std::condition_variable batch_available_;  ///< The miner waits here when starved.
-  std::vector<std::deque<Entry>> queues_;    ///< One ordered queue per shard.
-  std::size_t count_ = 0;         ///< Total queued across shards.
-  std::uint64_t queued_gas_ = 0;  ///< Sum of gas_limit over queues (O(1) readiness check).
-  std::int64_t next_seq_ = 0;     ///< Arrival stamps count up…
-  std::int64_t front_seq_ = 0;    ///< …requeue stamps count down.
+  std::deque<Entry> queue_;       ///< In global order.
+  std::uint64_t queued_gas_ = 0;  ///< Sum of gas_limit over the queue (O(1) readiness check).
   bool closed_ = false;
   MempoolStats stats_;
-  std::vector<ShardStats> shard_stats_;
 };
 
 }  // namespace concord::node

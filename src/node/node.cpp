@@ -30,6 +30,8 @@ std::unique_ptr<vm::World> require_world(std::unique_ptr<vm::World> world) {
 
 /// Validated before any member is built: an invalid config must fail
 /// fast, not after two world forks and two stage thread pools.
+/// mine_shards must be 1: a block has one miner, and the field remains
+/// only because bench/e2e still assigns it.
 NodeConfig require_config(NodeConfig config) {
   if (config.miner.exclusive_locks_only != config.validator.exclusive_locks_only) {
     throw std::invalid_argument("node: miner/validator disagree on exclusive_locks_only");
@@ -37,8 +39,8 @@ NodeConfig require_config(NodeConfig config) {
   if (config.pipeline_depth == 0) {
     throw std::invalid_argument("node: pipeline_depth must be >= 1");
   }
-  if (config.mine_shards == 0) {
-    throw std::invalid_argument("node: mine_shards must be >= 1");
+  if (config.mine_shards != 1) {
+    throw std::invalid_argument("node: mine_shards must be 1");
   }
   if (config.miner.threads == 0 || config.validator.threads == 0) {
     throw std::invalid_argument("node: miner and validator threads must be >= 1");
@@ -57,36 +59,11 @@ Node::Node(std::unique_ptr<vm::World> world, NodeConfig config)
       genesis_(*miner_world_),
       validator_world_(genesis_.materialize()),
       accepted_(genesis_),
-      mempool_(config_.batch, config_.mempool_capacity, config_.mine_shards),
+      mempool_(config_.batch, config_.mempool_capacity),
       miner_(*miner_world_, config_.miner),
       validator_(*validator_world_, config_.validator),
       chain_(genesis_.state_root()),
       snapshots_(std::max<std::size_t>(config_.retain_snapshots, 1)) {
-  // Lane miners for shards 1..N-1; lane 0 is the primary miner_. Each is
-  // born on a throwaway genesis fork and re-pointed at a fresh fork of
-  // the block boundary every block it mines.
-  for (std::uint32_t s = 1; s < config_.mine_shards; ++s) {
-    shard_worlds_.push_back(genesis_.materialize());
-    shard_miners_.push_back(std::make_unique<core::Miner>(*shard_worlds_.back(), config_.miner));
-  }
-  if (config_.mine_shards > 1) {
-    lane_pool_ = std::make_unique<sched::ForkJoinPool>(config_.mine_shards);
-  }
-
-  // Per-shard arena affinity: concurrent lane miners each recycle pages
-  // within their own slice of the arena's stripes instead of meeting on
-  // shared free lists. Single-miner nodes keep the default round-robin —
-  // the pre-shard path stays byte-for-byte untouched.
-  if (config_.mine_shards > 1) {
-    const unsigned width =
-        std::max(1u, vm::PageArena::kStripeCount / config_.mine_shards);
-    miner_.set_arena_affinity(0, width);
-    for (std::uint32_t s = 1; s < config_.mine_shards; ++s) {
-      shard_miners_[s - 1]->set_arena_affinity((s * width) % vm::PageArena::kStripeCount,
-                                               width);
-    }
-  }
-
   // The read path serves genesis ("as of block 0") from the moment the
   // node exists; its root is already computed (the chain header above).
   if (read_path_enabled()) snapshots_.publish(0, genesis_);
@@ -116,7 +93,7 @@ void Node::run() {
     } catch (...) {
       validator_error = std::current_exception();
     }
-    // Release a miner blocked on the ring or inside next_window, and
+    // Release a miner blocked on the ring or inside next_batch, and
     // producers blocked on mempool capacity.
     ring.close();
     mempool_.close();
@@ -148,16 +125,16 @@ void Node::run() {
     if (config_.pipelined) validator_thread = std::jthread(validator_loop);
     while (!ring.closed() && (config_.max_blocks == 0 || mined < config_.max_blocks)) {
       const auto t_wait = Clock::now();
-      std::optional<Mempool::Window> window = mempool_.next_window();
+      std::optional<std::vector<chain::Transaction>> batch = mempool_.next_batch();
       stats_.mempool_wait_ms += ms_since(t_wait);
-      if (!window.has_value()) break;
+      if (!batch.has_value()) break;
 
       // A rejection may have landed since the last block; recover before
-      // mining the fresh window on a doomed parent.
+      // mining the fresh batch on a doomed parent.
       if (ring.abort_requested()) resume_mining();
 
       const auto t_mine = Clock::now();
-      chain::Block block = mine_block(*window, parent);
+      chain::Block block = mine_block(*batch, parent);
       stats_.mine_ms += ms_since(t_mine);
       ++mined;
       parent = block;
@@ -371,27 +348,16 @@ void Node::run_follower(net::Peer& peer) {
   in_session_ = false;
 }
 
-void Node::fold_lane_stats(const core::MinerStats& mined) {
+chain::Block Node::mine_block(const std::vector<chain::Transaction>& batch,
+                              const chain::Block& parent) {
+  chain::Block block = config_.mining == MiningMode::kSerial ? miner_.mine_serial(batch, parent)
+                                                             : miner_.mine(batch, parent);
+  const core::MinerStats& mined = miner_.last_stats();
   stats_.attempts += mined.attempts;
   stats_.conflict_aborts += mined.conflict_aborts;
   stats_.deadlock_victims += mined.deadlock_victims;
   stats_.lock_table_high_water =
       std::max(stats_.lock_table_high_water, mined.lock_table_high_water);
-}
-
-chain::Block Node::mine_block(const Mempool::Window& window, const chain::Block& parent) {
-  chain::Block block;
-  if (config_.mine_shards > 1) {
-    block = mine_lanes(window, parent);
-  } else if (config_.mining == MiningMode::kSerial) {
-    block = miner_.mine_serial(window.lanes[0], parent);
-  } else {
-    block = miner_.mine(window.lanes[0], parent);
-  }
-  // The primary miner's stats describe the whole block: its own lane's
-  // execution plus, when sharded, the seal.
-  const core::MinerStats& mined = miner_.last_stats();
-  fold_lane_stats(mined);
   stats_.schedule_bytes += mined.schedule_bytes;
   stats_.arena = mined.arena;
   stats_.detect_violations += mined.detect_violations;
@@ -400,51 +366,6 @@ chain::Block Node::mine_block(const Mempool::Window& window, const chain::Block&
   }
   if (config_.post_mine_hook) config_.post_mine_hook(block);
   return block;
-}
-
-chain::Block Node::mine_lanes(const Mempool::Window& window, const chain::Block& parent) {
-  const std::uint32_t shards = config_.mine_shards;
-
-  // Fork each busy lane's world off the primary BEFORE lane 0 mutates
-  // it: every lane executes against the same block boundary.
-  for (std::uint32_t s = 1; s < shards; ++s) {
-    if (window.lanes[s].empty()) continue;
-    shard_worlds_[s - 1] = miner_world_->fork();
-    shard_miners_[s - 1]->resume_from(*shard_worlds_[s - 1]);
-  }
-
-  std::vector<core::Miner::LaneResult> lanes(shards);
-  lane_pool_->run_batch(shards, [this, &window, &lanes](std::uint32_t s) {
-    // Lane 0 always runs: the seal reads its miner's stats.
-    if (s > 0 && window.lanes[s].empty()) return;  // Nothing routed here this block.
-    core::Miner& lane_miner = s == 0 ? miner_ : *shard_miners_[s - 1];
-    lanes[s] = config_.mining == MiningMode::kSerial ? lane_miner.mine_lane_serial(window.lanes[s])
-                                                     : lane_miner.mine_lane(window.lanes[s]);
-  });
-  for (std::uint32_t s = 1; s < shards; ++s) {
-    if (!window.lanes[s].empty()) fold_lane_stats(shard_miners_[s - 1]->last_stats());
-  }
-
-  // Merge: lane index == shard id (empty lanes stay in so lane_counts
-  // and ShardOrigin::lane read as shard ids end-to-end).
-  std::vector<chain::ShardLane> merge_input;
-  merge_input.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    lanes[s].lane.shard = s;
-    merge_input.push_back(std::move(lanes[s].lane));
-  }
-  chain::ShardMergeResult merged = chain::merge_shards(merge_input);
-  stats_.cross_shard_conflicts += merged.cross_shard_conflicts;
-  if (!merged.requeued.empty()) {
-    // Losers take another lap at the front of the global order, so they
-    // land in the very next block (where, with the conflicting winner now
-    // committed, the lowest occupied lane's total win guarantees they can
-    // not lose forever).
-    stats_.requeued_transactions += merged.requeued.size();
-    mempool_.requeue_front(merged.requeued);
-  }
-
-  return miner_.seal_merged(std::move(merged), std::move(lanes[0].logs), parent);
 }
 
 bool Node::validate_and_append(chain::Block block) {

@@ -16,7 +16,6 @@
 #include "node/handoff_ring.hpp"
 #include "node/mempool.hpp"
 #include "node/snapshot_ring.hpp"
-#include "sched/fork_join.hpp"
 #include "vm/world.hpp"
 
 namespace concord::net {
@@ -52,14 +51,8 @@ struct NodeConfig {
   MiningMode mining = MiningMode::kSpeculative;
   std::size_t max_blocks = 0;        ///< 0 = run until the mempool closes and drains.
 
-  /// Parallel shard miners per block. 1 (the default) is the exact
-  /// pre-shard single-miner path — same batches, same blocks, byte for
-  /// byte. N > 1 stripes the mempool by the deterministic shard router,
-  /// mines each shard's lane concurrently (each lane miner executes on
-  /// its own COW fork of the block boundary) and stitches the lanes into
-  /// one block through chain::merge_shards — cross-shard conflict losers
-  /// are re-queued at the mempool front and counted in NodeStats. Must
-  /// be ≥ 1 (enforced at construction).
+  /// Must be 1 (enforced at construction); kept only while bench/e2e
+  /// still assigns it.
   std::uint32_t mine_shards = 1;
 
   /// Capacity of the miner→validator handoff ring: how many mined blocks
@@ -150,14 +143,6 @@ struct NodeStats {
   /// Max mined-but-unvalidated blocks in flight at once (≤ pipeline_depth).
   std::size_t ring_high_water = 0;
 
-  // Sharded production (all zero when mine_shards == 1).
-  /// Merge-arbitration losers: lane transactions that conflicted with a
-  /// lower shard's winners and were cut from their block.
-  std::uint64_t cross_shard_conflicts = 0;
-  /// Loser transactions re-queued at the mempool front for the next
-  /// block (direct losers plus their same-lane dependents).
-  std::uint64_t requeued_transactions = 0;
-
   // Aggregated over every mined block.
   std::uint64_t attempts = 0;
   std::uint64_t conflict_aborts = 0;
@@ -216,7 +201,7 @@ struct NodeStats {
 /// against its replica at post-(N−1) state and cross-checks the
 /// published state root.
 ///
-/// run() is ONE loop: cut a window, mine it, hand the block to the
+/// run() is ONE loop: cut a batch, mine it, hand the block to the
 /// validation step. With `pipelined`, the handoff is a HandoffRing of
 /// `pipeline_depth` in-flight blocks drained by a validator thread, so
 /// the miner keeps mining N+1..N+k on top of its own unvalidated output
@@ -358,25 +343,11 @@ class Node {
   core::QueryOutcome query_call(const chain::Transaction& tx) const;
 
  private:
-  /// Mines one window in the configured mode and returns the block
-  /// extending `parent`: one shard mines lane 0 as a plain batch, more
-  /// fan out through mine_lanes(). Either way the primary miner's stats,
-  /// detect report and post_mine_hook are applied here, once.
-  [[nodiscard]] chain::Block mine_block(const Mempool::Window& window,
+  /// Mines one batch in the configured mode and returns the block
+  /// extending `parent`; folds the miner's stats and detect report and
+  /// applies post_mine_hook.
+  [[nodiscard]] chain::Block mine_block(const std::vector<chain::Transaction>& batch,
                                         const chain::Block& parent);
-
-  /// mine_block's fan-out (mine_shards > 1): mines each lane of the
-  /// window concurrently on the lane pool — lane 0 against the primary
-  /// world, lanes ≥ 1 against per-block COW forks — merges the lanes
-  /// (chain::merge_shards), re-queues the losers and seals the merged
-  /// block on the primary miner.
-  [[nodiscard]] chain::Block mine_lanes(const Mempool::Window& window,
-                                        const chain::Block& parent);
-
-  /// Folds one lane miner's execution counters into the node aggregates
-  /// (the block-level fields — schedule bytes, arena, detect — come from
-  /// the primary miner, in mine_block).
-  void fold_lane_stats(const core::MinerStats& mined);
 
   /// Validates and appends. On acceptance freezes the new boundary into
   /// accepted_ and publishes that same handle to the read path; on
@@ -412,18 +383,9 @@ class Node {
   /// handed over through the ring's abort handshake.
   vm::WorldSnapshot accepted_;
   Mempool mempool_;
-  core::Miner miner_;  ///< The primary (lane 0) miner over miner_world_.
+  core::Miner miner_;  ///< Mines over miner_world_.
   core::Validator validator_;
   chain::Blockchain chain_;
-  /// Lane miners for shards 1..mine_shards-1 (empty when mine_shards ==
-  /// 1) and the per-block boundary forks they execute on. The worlds are
-  /// replaced each block; they must outlive the block (each lane miner's
-  /// engine holds a reference until its next resume_from).
-  std::vector<std::unique_ptr<core::Miner>> shard_miners_;
-  std::vector<std::unique_ptr<vm::World>> shard_worlds_;
-  /// One worker per shard, persistent across blocks; mine_lanes runs a
-  /// block's lanes on it as one batch. Null when mine_shards == 1.
-  std::unique_ptr<sched::ForkJoinPool> lane_pool_;
   /// The MVCC retention window (sized 1 but never published into when
   /// the read path is disabled). Written only by whichever thread runs
   /// validate_and_append; read by any number of query threads.

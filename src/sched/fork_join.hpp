@@ -15,8 +15,8 @@
 
 namespace concord::sched {
 
-/// Work-stealing fork-join pool — the one thread pool under the miner,
-/// the validator and the node's shard lanes.
+/// Work-stealing fork-join pool — the one thread pool under the miner
+/// and the validator.
 ///
 /// The validator's engine (paper §4 / Algorithm 2) is run_dag(). Algorithm
 /// 2 builds, for each transaction, a fork-join task that "first joins with

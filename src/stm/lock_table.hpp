@@ -13,26 +13,6 @@
 
 namespace concord::stm {
 
-/// Deterministic partition of the abstract-lock space into `shards`
-/// disjoint groups, keyed by the 64-bit root identity an owner's lock
-/// spaces derive from (for a contract: its address digest — every
-/// field_space() of one contract mixes the same root, so the whole lock
-/// family lands in one partition). This is the lock-space view behind the
-/// node's shard router: dispatching transactions by their contract's
-/// partition keeps each producer lane's lock traffic inside its own
-/// partition, which is why cross-shard conflicts reduce to explicitly
-/// shared spaces (the world balance map, nested cross-contract calls)
-/// and the merge layer's arbitration stays rare instead of constant.
-/// Content-only and table-state-free — the same inputs give the same
-/// partition on every node, in every arrival order. Each shard miner
-/// owns a whole BoostingRuntime, so the per-shard lock *tables* exist by
-/// construction; this function is the partition they mirror.
-[[nodiscard]] constexpr std::uint32_t lock_partition_of(std::uint64_t root_id,
-                                                        std::uint32_t shards) noexcept {
-  if (shards <= 1) return 0;
-  return static_cast<std::uint32_t>(mix64(root_id) % shards);
-}
-
 /// Striped, on-demand table of abstract locks.
 ///
 /// Locks are created the first time any transaction touches their LockId

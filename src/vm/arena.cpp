@@ -35,8 +35,7 @@ thread_local unsigned bound_stripe = kNoBoundStripe;
 /// Round-robins threads onto stripes. A thread keeps its stripe for life
 /// (and across arenas): the point is that concurrent miner threads land
 /// on different stripes, not that the mapping is balanced per arena. An
-/// explicit bind_thread_stripe() — the per-shard affinity path — takes
-/// precedence over the round-robin.
+/// explicit bind_thread_stripe() takes precedence over the round-robin.
 unsigned stripe_index() noexcept {
   if (bound_stripe != kNoBoundStripe) return bound_stripe;
   static std::atomic<unsigned> next{0};

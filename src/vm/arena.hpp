@@ -26,8 +26,7 @@ struct ArenaStats {
   /// Cross-stripe contention: how often a dry stripe probed a sibling's
   /// free list (a try_lock each) and how often a probe adopted one. High
   /// attempts with low hits means stripes are fighting over the same
-  /// recycled pages — the signal the per-shard stripe affinity exists to
-  /// drive down.
+  /// recycled pages.
   std::uint64_t steal_attempts = 0;
   std::uint64_t steal_hits = 0;
 };
@@ -119,12 +118,10 @@ class PageArena {
 
   /// Pins the calling thread onto stripe `stripe % kStripeCount` (for
   /// every arena — the override is thread-local, not per-instance),
-  /// replacing the default lifetime round-robin. The per-shard affinity
-  /// hook: a lane miner binds its workers to the lane's stripe slice so
-  /// lane-local page churn recycles within the lane instead of meeting
-  /// other lanes on shared free lists (and falling back to try_lock
-  /// steals). Persists until the thread rebinds; unbound threads keep
-  /// the round-robin mapping.
+  /// replacing the default lifetime round-robin. A test seam: it lets a
+  /// test put two threads on one stripe or on chosen siblings, so the
+  /// recycle and steal paths run deterministically. Persists until the
+  /// thread rebinds; unbound threads keep the round-robin mapping.
   static void bind_thread_stripe(unsigned stripe) noexcept;
 
   /// A consistent-enough snapshot for diagnostics (counters are atomics;

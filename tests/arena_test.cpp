@@ -241,7 +241,7 @@ TEST(ArenaAffinity, BoundThreadsShareAStripeWithoutStealing) {
     arena.deallocate(freed, 128);
   });
   // Thread B, same stripe: the free block is on its OWN list — recycled
-  // directly, no sibling probing. This is the per-shard affinity win.
+  // directly, no sibling probing.
   on_bound_thread(2, [&] {
     void* block = arena.allocate(128);
     EXPECT_EQ(block, freed);

@@ -386,42 +386,6 @@ TEST(NodeDetect, PipelinedStreamsCleanAtDepths124) {
   }
 }
 
-// The sharded-production acceptance criterion: merged blocks — stitched
-// from per-shard sub-blocks, losers arbitrated out — replay under
-// ConcordSan exactly like single-miner blocks do. 20-block pipelined
-// streams at shard fan-outs 2 and 4 must come out violation-free.
-TEST(NodeDetect, ShardedPipelinedStreamsClean) {
-  for (const std::uint32_t shards : {2u, 4u}) {
-    workload::StreamSpec spec;
-    spec.kind = workload::BenchmarkKind::kMixed;
-    spec.blocks = 20;
-    spec.txs_per_block = 25;
-    spec.conflict_percent = 20;
-
-    workload::Fixture fixture = workload::make_stream_fixture(spec);
-    node::NodeConfig config;
-    config.miner = detect_miner();
-    config.validator.nanos_per_gas = 0.0;
-    config.batch.target_txs = spec.txs_per_block;
-    config.pipelined = true;
-    config.mine_shards = shards;
-
-    node::Node node(std::move(fixture.world), config);
-    std::jthread producer([&node, txs = std::move(fixture.transactions)]() mutable {
-      (void)node.mempool().submit_many(std::move(txs));
-      node.mempool().close();
-    });
-    node.run();
-
-    EXPECT_TRUE(node.ok()) << "shards " << shards;
-    // Requeue laps can stretch the chain past the nominal block count,
-    // but every transaction must land and every block must be clean.
-    EXPECT_EQ(node.stats().transactions, spec.total_transactions()) << "shards " << shards;
-    EXPECT_EQ(node.stats().detect_violations, 0u) << "shards " << shards;
-    EXPECT_FALSE(node.first_detect_report().has_value());
-  }
-}
-
 TEST(NodeDetect, FirstDirtyReportSurfaces) {
   const vm::Address victim = vm::Address::from_u64(1);
   MutantFixture fx = make_mutant_fixture(vm::DeclareFault::kDrop, victim);

@@ -20,9 +20,8 @@ chain::Transaction make_tx(std::uint64_t producer, std::uint32_t seq,
   return tx;
 }
 
-/// Like make_tx but spread across distinct contracts, so the shard
-/// router has something to route (all of make_tx's traffic shares one
-/// contract and therefore one shard).
+/// Like make_tx but spread across distinct contracts, so every
+/// transaction hashes differently.
 chain::Transaction make_contract_tx(std::uint64_t contract, std::uint32_t seq) {
   chain::Transaction tx = make_tx(0, seq);
   tx.contract = vm::Address::from_u64(contract, 0xAA);
@@ -119,97 +118,7 @@ TEST(Mempool, StatsCountTraffic) {
   EXPECT_EQ(stats.high_water, 12u);
 }
 
-// ------------------------------------------------- Sharded windows ---
-
-TEST(MempoolSharded, WindowLanesMatchTheShardRouter) {
-  constexpr std::uint32_t kShards = 4;
-  Mempool pool(BatchPolicy{.target_txs = 16}, /*capacity=*/0, kShards);
-  std::vector<chain::Transaction> stream;
-  for (std::uint32_t i = 0; i < 16; ++i) stream.push_back(make_contract_tx(i, i));
-  EXPECT_EQ(pool.submit_many(stream), 16u);
-  pool.close();
-
-  const auto window = pool.next_window();
-  ASSERT_TRUE(window.has_value());
-  EXPECT_EQ(window->transactions, 16u);
-  ASSERT_EQ(window->lanes.size(), kShards);
-  std::size_t across_lanes = 0;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    for (const auto& tx : window->lanes[s]) {
-      EXPECT_EQ(shard_of(tx, kShards), s);  // Every lane holds only its own traffic.
-      ++across_lanes;
-    }
-  }
-  EXPECT_EQ(across_lanes, 16u);
-  EXPECT_EQ(pool.next_window(), std::nullopt);
-}
-
-TEST(MempoolSharded, WindowCutMatchesTheUnshardedBatchBoundaries) {
-  // The cut is GLOBAL: a 4-shard window holds exactly the transactions a
-  // 1-shard pool would have cut, just pre-partitioned.
-  std::vector<chain::Transaction> stream;
-  for (std::uint32_t i = 0; i < 10; ++i) stream.push_back(make_contract_tx(i % 5, i));
-
-  Mempool flat(BatchPolicy{.target_txs = 4});
-  Mempool sharded(BatchPolicy{.target_txs = 4}, /*capacity=*/0, /*shards=*/4);
-  EXPECT_EQ(flat.submit_many(stream), 10u);
-  EXPECT_EQ(sharded.submit_many(stream), 10u);
-  flat.close();
-  sharded.close();
-
-  while (true) {
-    const auto batch = flat.next_batch();
-    const auto window = sharded.next_window();
-    ASSERT_EQ(batch.has_value(), window.has_value());
-    if (!batch) break;
-    std::size_t window_total = 0;
-    std::vector<bool> claimed(batch->size(), false);
-    for (const auto& lane : window->lanes) {
-      for (const auto& tx : lane) {
-        ++window_total;
-        bool found = false;
-        for (std::size_t i = 0; i < batch->size(); ++i) {
-          if (!claimed[i] && (*batch)[i] == tx) {
-            claimed[i] = found = true;
-            break;
-          }
-        }
-        EXPECT_TRUE(found) << "window transaction missing from the flat batch";
-      }
-    }
-    EXPECT_EQ(window_total, batch->size());
-  }
-}
-
-TEST(MempoolSharded, RequeueFrontJumpsTheGlobalOrderEvenAfterClose) {
-  Mempool pool(BatchPolicy{.target_txs = 4}, /*capacity=*/0, /*shards=*/2);
-  std::vector<chain::Transaction> stream;
-  for (std::uint32_t i = 0; i < 6; ++i) stream.push_back(make_contract_tx(i, i));
-  EXPECT_EQ(pool.submit_many(stream), 6u);
-  pool.close();
-
-  // The merge's loser lap: re-queues land BEFORE everything queued, in
-  // their given order, and the closed flag does not refuse them.
-  const std::vector<chain::Transaction> losers = {make_contract_tx(7, 100),
-                                                  make_contract_tx(8, 101)};
-  pool.requeue_front(losers);
-
-  const auto first = pool.next_batch();
-  ASSERT_TRUE(first.has_value());
-  ASSERT_EQ(first->size(), 4u);
-  EXPECT_EQ((*first)[0], losers[0]);
-  EXPECT_EQ((*first)[1], losers[1]);
-  EXPECT_EQ((*first)[2], stream[0]);
-  EXPECT_EQ((*first)[3], stream[1]);
-
-  const auto second = pool.next_batch();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->size(), 4u);
-  EXPECT_EQ(pool.next_batch(), std::nullopt);
-  EXPECT_EQ(pool.stats().requeued, 2u);
-}
-
-TEST(MempoolSharded, ContentOrderCutsAreArrivalOrderIndependent) {
+TEST(Mempool, ContentOrderCutsAreArrivalOrderIndependent) {
   std::vector<chain::Transaction> stream;
   for (std::uint32_t i = 0; i < 9; ++i) stream.push_back(make_contract_tx(i, i));
   std::vector<chain::Transaction> reversed(stream.rbegin(), stream.rend());
@@ -228,40 +137,6 @@ TEST(MempoolSharded, ContentOrderCutsAreArrivalOrderIndependent) {
     if (!a) break;
     EXPECT_EQ(*a, *b);  // Identical batches, element for element.
   }
-}
-
-TEST(MempoolSharded, ShardStatsTrackPerLaneTraffic) {
-  constexpr std::uint32_t kShards = 2;
-  Mempool pool(BatchPolicy{.target_txs = 8}, /*capacity=*/0, kShards);
-  std::vector<chain::Transaction> stream;
-  for (std::uint32_t i = 0; i < 8; ++i) stream.push_back(make_contract_tx(i, i));
-  EXPECT_EQ(pool.submit_many(stream), 8u);
-
-  std::vector<std::uint64_t> routed(kShards, 0);
-  for (const auto& tx : stream) ++routed[shard_of(tx, kShards)];
-
-  auto stats = pool.shard_stats();
-  ASSERT_EQ(stats.size(), kShards);
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(stats[s].submitted, routed[s]);
-    EXPECT_EQ(stats[s].high_water, routed[s]);
-    EXPECT_EQ(stats[s].cut, 0u);
-  }
-
-  pool.requeue_front({make_contract_tx(0, 50)});
-  pool.close();
-  while (pool.next_window()) {
-  }
-
-  stats = pool.shard_stats();
-  std::uint64_t cut_total = 0;
-  std::uint64_t requeued_total = 0;
-  for (const auto& lane : stats) {
-    cut_total += lane.cut;
-    requeued_total += lane.requeued;
-  }
-  EXPECT_EQ(cut_total, 9u);  // Everything — 8 submissions + 1 requeue — was cut.
-  EXPECT_EQ(requeued_total, 1u);
 }
 
 // -------------------------------------- Concurrency (TSan-targeted) ---

@@ -15,6 +15,7 @@
 #include "chain/blockchain.hpp"
 #include "core/miner.hpp"
 #include "core/validator.hpp"
+#include "graph/happens_before.hpp"
 #include "net/peer.hpp"
 #include "net/replication.hpp"
 #include "net/transport.hpp"
@@ -138,21 +139,6 @@ TEST(NetWire, RoundTripsEveryMessageType) {
     // accepted payloads, so a relay cannot mutate a frame unnoticed.
     EXPECT_EQ(encode_message(back), payload) << message_name(message);
   }
-}
-
-TEST(NetWire, BlockWithShardLanesSurvivesTheWire) {
-  std::vector<chain::Block> reference = make_reference_blocks(stream_spec(1, 8));
-  chain::Block block = std::move(reference[0]);
-  // A (tiling) shard-lane vector plus re-sealed commitment: the wire
-  // layer must carry the sharded schedule exactly.
-  block.schedule.shard_lanes = {static_cast<std::uint32_t>(block.transactions.size())};
-  block.header.schedule_hash = block.schedule.hash();
-  const std::vector<std::uint8_t> payload = encode_message(Message{BlockAnnounce{block}});
-  const Message back = decode_message(payload);
-  const auto* announce = std::get_if<BlockAnnounce>(&back);
-  ASSERT_NE(announce, nullptr);
-  EXPECT_EQ(announce->block.schedule.shard_lanes, block.schedule.shard_lanes);
-  EXPECT_EQ(encode_message(back), payload);
 }
 
 TEST(NetWire, TruncationCorpusEveryPrefixRejected) {
@@ -399,8 +385,8 @@ TEST(NetReplication, HonestTwentyBlockStreamReplicatesByteIdentically) {
   auto peers = std::make_shared<PeerSet>();
   peers->add(std::make_shared<Peer>(std::move(leader_end), PeerConfig{.name = "leader"}));
 
-  // Leader: a real mining node in deterministic mode, sharded lanes on,
-  // with replication hooked into block acceptance.
+  // Leader: a real mining node in deterministic mode, with replication
+  // hooked into block acceptance.
   auto leader_fixture = make_stream_fixture(spec);
   Leader leader(peers, leader_fixture.world->state_root());
   NodeConfig leader_config;
@@ -408,7 +394,6 @@ TEST(NetReplication, HonestTwentyBlockStreamReplicatesByteIdentically) {
   leader_config.validator.nanos_per_gas = 0.0;
   leader_config.batch.target_txs = spec.txs_per_block;
   leader_config.mining = node::MiningMode::kSerial;
-  leader_config.mine_shards = 2;  // Shard lanes cross the wire too.
   leader_config.on_block_accepted = leader.announcer();
   Node leader_node(std::move(leader_fixture.world), leader_config);
   leader.start();
@@ -520,13 +505,36 @@ TEST(NetReplication, ByzantineCorruptPostRootRejectedThenConverges) {
   EXPECT_EQ(follower_node->stats().net_wire_errors, 0u);
 }
 
-/// Byzantine gate 2: a schedule whose shard lanes do not tile the block,
-/// re-sealed so the header commitments pass — only the validator's
-/// structural check across the trust boundary catches it.
-TEST(NetReplication, ByzantineNonTilingShardLanesRejectedThenConverges) {
+/// Byzantine gate 2: the edge-missing faulty block. One profile-derived
+/// happens-before edge is dropped from the published schedule and the
+/// schedule hash re-sealed, so the header commitments pass — only the
+/// validator's constraint check across the trust boundary catches it.
+TEST(NetReplication, ByzantineDroppedEdgeRejectedThenConverges) {
   const StreamSpec spec = stream_spec(/*blocks=*/3, /*txs_per_block=*/10);
   const std::vector<chain::Block> reference = make_reference_blocks(spec);
   ASSERT_GE(reference.size(), 2u);
+
+  // The first block with an edge whose removal the rest of the published
+  // graph does not cover (a transitively implied edge would be no fault).
+  std::size_t faulty = reference.size();
+  chain::Block malformed;
+  for (std::size_t b = 0; b < reference.size() && faulty == reference.size(); ++b) {
+    const chain::Block& block = reference[b];
+    const std::size_t n = block.transactions.size();
+    const graph::HappensBeforeGraph derived =
+        graph::derive_happens_before(block.schedule.profiles, n);
+    for (std::size_t e = 0; e < block.schedule.edges.size(); ++e) {
+      chain::Block candidate = block;
+      candidate.schedule.edges.erase(candidate.schedule.edges.begin() +
+                                     static_cast<std::ptrdiff_t>(e));
+      if (candidate.schedule.to_graph(n).implies(derived)) continue;
+      candidate.header.schedule_hash = candidate.schedule.hash();
+      malformed = std::move(candidate);
+      faulty = b;
+      break;
+    }
+  }
+  ASSERT_LT(faulty + 1, reference.size()) << "no reference block with a droppable edge";
 
   auto follower_node = make_follower(spec);
   auto [follower_end, test_end] = PipeTransport::make_pair();
@@ -537,30 +545,30 @@ TEST(NetReplication, ByzantineNonTilingShardLanesRejectedThenConverges) {
   FrameWriter to_follower(*test_end);
   FrameReader from_follower(*test_end);
   (void)expect_msg<Hello>(from_follower, "session opener");
+  for (std::size_t b = 0; b < faulty; ++b) {
+    send_msg(to_follower, Message{BlockAnnounce{reference[b]}});
+    (void)expect_msg<Ack>(from_follower, "ack for an honest block before the fault");
+  }
 
-  // Block 1 with lanes claiming more transactions than the block holds.
-  // The schedule hash is re-sealed, so Block::verify_commitments passes;
-  // rejection must come from the validator's tiling check.
-  chain::Block malformed = reference[0];
-  malformed.schedule.shard_lanes = {
-      static_cast<std::uint32_t>(malformed.transactions.size() + 1)};
-  malformed.header.schedule_hash = malformed.schedule.hash();
+  const std::uint64_t number = faulty + 1;
   send_msg(to_follower, Message{BlockAnnounce{malformed}});
-  const Nack nack = expect_msg<Nack>(from_follower, "nack for non-tiling lanes");
-  EXPECT_EQ(nack.number, 1u);
+  const Nack nack = expect_msg<Nack>(from_follower, "nack for the dropped edge");
+  EXPECT_EQ(nack.number, number);
   EXPECT_EQ(nack.reason, NackReason::kValidationFailed);
-  EXPECT_NE(nack.detail.find("tile"), std::string::npos) << nack.detail;
+  EXPECT_NE(nack.detail.find(core::to_string(core::RejectReason::kMissingConstraint)),
+            std::string::npos)
+      << nack.detail;
   const BlockRequest retry = expect_msg<BlockRequest>(from_follower, "retransmission request");
-  EXPECT_EQ(retry.number, 1u);
+  EXPECT_EQ(retry.number, number);
 
-  send_msg(to_follower, Message{BlockAnnounce{reference[0]}});
-  (void)expect_msg<Ack>(from_follower, "ack for honest block 1");
-  send_msg(to_follower, Message{BlockAnnounce{reference[1]}});
-  (void)expect_msg<Ack>(from_follower, "ack for block 2");
+  send_msg(to_follower, Message{BlockAnnounce{reference[faulty]}});
+  (void)expect_msg<Ack>(from_follower, "ack for the honest retransmission");
+  send_msg(to_follower, Message{BlockAnnounce{reference[faulty + 1]}});
+  (void)expect_msg<Ack>(from_follower, "ack for the next block");
   test_end->close();
   follower_thread.join();
 
-  expect_chain_matches(*follower_node, reference, /*height=*/2);
+  expect_chain_matches(*follower_node, reference, /*height=*/faulty + 2);
   EXPECT_EQ(follower_node->stats().rejected_blocks, 1u);
   EXPECT_EQ(follower_node->stats().net_nacks_sent, 1u);
 }

@@ -507,6 +507,10 @@ TEST(NodeConstruction, RejectsZeroPipelineDepth) {
   NodeConfig config;
   config.pipeline_depth = 0;
   EXPECT_THROW(Node(make_stream_fixture(spec).world, config), std::invalid_argument);
+  // The same guard block: a block has one miner, so mine_shards must be 1.
+  config.pipeline_depth = 1;
+  config.mine_shards = 2;
+  EXPECT_THROW(Node(make_stream_fixture(spec).world, config), std::invalid_argument);
 }
 
 TEST(NodeConstruction, RejectsZeroStageThreads) {
@@ -557,19 +561,14 @@ TEST(NodeGenesisSnapshot, StaysFrozenWhileTheChainAdvances) {
   EXPECT_EQ(node->genesis_snapshot().materialize()->state_root(), genesis_root);
 }
 
-// ---------------------------------------------- Sharded production ---
+// --------------------------------------- Content-order determinism ---
 
-/// Shard-count lanes for the router/merge acceptance criteria: shard
-/// fan-outs 1, 2 and 4 over the same pipelined serial-mode stream.
-class ShardedProduction : public ::testing::TestWithParam<std::uint32_t> {};
-
-/// Router purity, end to end: with the content-ordered cut the chain a
-/// sharded node produces is a function of the transaction MULTISET —
-/// shuffling arrival order changes nothing, because shard_of reads only
-/// transaction content and the window cut reads only pool content. The
-/// whole stream is submitted and the pool closed before the node runs
-/// so the cut sees identical pool content in every permutation.
-TEST_P(ShardedProduction, ShuffledArrivalProducesAnIdenticalChain) {
+/// Mempool purity, end to end: with the content-ordered cut the chain is
+/// a function of the transaction MULTISET — shuffling arrival order
+/// changes nothing, because the cut reads only pool content. The whole
+/// stream is submitted and the pool closed before the node runs so the
+/// cut sees identical pool content in every permutation.
+TEST(NodeDeterminism, ShuffledArrivalProducesAnIdenticalChain) {
   const StreamSpec spec = stream_spec(BenchmarkKind::kMixed, /*blocks=*/20, /*txs_per_block=*/25,
                                       /*conflict=*/20);
 
@@ -577,7 +576,6 @@ TEST_P(ShardedProduction, ShuffledArrivalProducesAnIdenticalChain) {
     NodeConfig config = fast_node(spec);
     config.pipelined = true;
     config.mining = MiningMode::kSerial;
-    config.mine_shards = GetParam();
     config.batch.content_order = true;
     auto [node, stream] = make_node(spec, config);
     if (seed != 0) {
@@ -606,12 +604,10 @@ TEST_P(ShardedProduction, ShuffledArrivalProducesAnIdenticalChain) {
   }
 }
 
-/// Byte-reproducibility under the concurrent producer: two identical
-/// pipelined runs produce identical chains even though lane mining is
-/// multi-threaded — the merge layer, not thread timing, fixes the block.
-/// At one shard this collapses to the pre-shard single-miner path and
-/// must reproduce the sequential reference byte for byte.
-TEST_P(ShardedProduction, RepeatedRunsAreByteReproducible) {
+/// Byte-reproducibility under the pipelined producer: two identical runs
+/// produce identical chains even though mining and validation overlap on
+/// separate threads, and both match the sequential reference byte for byte.
+TEST(NodeDeterminism, RepeatedRunsAreByteReproducible) {
   const StreamSpec spec = stream_spec(BenchmarkKind::kMixed, /*blocks=*/20, /*txs_per_block=*/25,
                                       /*conflict=*/20);
 
@@ -619,7 +615,6 @@ TEST_P(ShardedProduction, RepeatedRunsAreByteReproducible) {
     NodeConfig config = fast_node(spec);
     config.pipelined = true;
     config.mining = MiningMode::kSerial;
-    config.mine_shards = GetParam();
     auto [node, stream] = make_node(spec, config);
     drive(*node, std::move(stream));
     return std::move(node);
@@ -629,11 +624,8 @@ TEST_P(ShardedProduction, RepeatedRunsAreByteReproducible) {
   const auto second = run_once();
   for (const auto* node : {first.get(), second.get()}) {
     ASSERT_TRUE(node->ok()) << core::to_string(node->failure().reason);
-    // Cross-shard losers lap through the mempool, so the height may
-    // exceed the nominal block count — but every transaction commits.
     EXPECT_EQ(node->stats().transactions, spec.total_transactions());
     EXPECT_TRUE(node->chain().verify_links());
-    EXPECT_GE(node->stats().requeued_transactions, node->stats().cross_shard_conflicts);
   }
 
   ASSERT_EQ(first->chain().height(), second->chain().height());
@@ -642,39 +634,12 @@ TEST_P(ShardedProduction, RepeatedRunsAreByteReproducible) {
     EXPECT_EQ(first->chain().at(n).hash(), second->chain().at(n).hash());
   }
 
-  if (GetParam() == 1) {
-    // Single-shard must be byte-identical to the pre-refactor path.
-    const chain::Blockchain reference = sequential_reference(spec);
-    ASSERT_EQ(first->chain().height(), reference.height());
-    for (std::uint64_t n = 0; n <= reference.height(); ++n) {
-      EXPECT_EQ(first->chain().at(n), reference.at(n)) << "block " << n << " diverged";
-    }
-    EXPECT_EQ(first->stats().requeued_transactions, 0u);
-    EXPECT_EQ(first->stats().cross_shard_conflicts, 0u);
-  } else {
-    // Sharded blocks publish their lane structure; it must tile every
-    // block exactly (the validator checks this too).
-    bool saw_multi_lane = false;
-    for (std::uint64_t n = 1; n <= first->chain().height(); ++n) {
-      const auto& schedule = first->chain().at(n).schedule;
-      ASSERT_EQ(schedule.shard_lanes.size(), GetParam()) << "block " << n;
-      std::size_t lane_total = 0;
-      for (const std::uint32_t count : schedule.shard_lanes) lane_total += count;
-      EXPECT_EQ(lane_total, first->chain().at(n).transactions.size()) << "block " << n;
-      std::size_t populated = 0;
-      for (const std::uint32_t count : schedule.shard_lanes) populated += count > 0 ? 1 : 0;
-      saw_multi_lane = saw_multi_lane || populated > 1;
-    }
-    // The mixed workload spreads contracts across shards: at least one
-    // block must genuinely merge more than one lane.
-    EXPECT_TRUE(saw_multi_lane);
+  const chain::Blockchain reference = sequential_reference(spec);
+  ASSERT_EQ(first->chain().height(), reference.height());
+  for (std::uint64_t n = 0; n <= reference.height(); ++n) {
+    EXPECT_EQ(first->chain().at(n), reference.at(n)) << "block " << n << " diverged";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, ShardedProduction, ::testing::Values(1u, 2u, 4u),
-                         [](const auto& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
 
 }  // namespace
 }  // namespace concord::node
