@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "chain/transaction.hpp"
 #include "vm/boosted_counter_map.hpp"
@@ -46,9 +47,6 @@ class SimpleAuction final : public vm::Contract {
     ended_.set_arena(arena);
   }
 
-  /// Pre-sizes pendingReturns for `bidders` entries (genesis seeding).
-  void raw_reserve(std::size_t bidders) { pending_returns_.raw_reserve(bidders); }
-
   // --- Typed API --------------------------------------------------------
 
   /// Places a bid of msg.value; reverts unless it beats the current
@@ -72,6 +70,13 @@ class SimpleAuction final : public vm::Contract {
   void raw_set_highest(const vm::Address& bidder, vm::Amount amount);
   /// Seeds a refundable balance (genesis only).
   void raw_add_pending(const vm::Address& bidder, vm::Amount amount);
+  /// Seeds `amount` for each of `bidders` bidders, bidder_at(0..bidders-1),
+  /// in one pass (vm::BoostedCounterMap::raw_seed). Precondition: the
+  /// bidders have nothing pending yet and are distinct.
+  template <typename AddressAt>
+  void raw_seed_pending(std::size_t bidders, AddressAt&& bidder_at, vm::Amount amount) {
+    pending_returns_.raw_seed(bidders, std::forward<AddressAt>(bidder_at), amount);
+  }
 
   [[nodiscard]] vm::Amount raw_highest_bid() const { return highest_bid_.raw_get(); }
   [[nodiscard]] vm::Address raw_highest_bidder() const { return highest_bidder_.raw_get(); }

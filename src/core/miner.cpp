@@ -11,7 +11,10 @@
 namespace concord::core {
 
 Miner::Miner(vm::World& world, MinerConfig config)
-    : config_(config), engine_(world, config.engine()), pool_(config.threads) {
+    : config_(config),
+      engine_(world, config.engine()),
+      pool_(config.threads),
+      parallel_(pool_parallel_for(pool_)) {
   if (config_.lock_table_reserve > 0) runtime_.locks().reserve(config_.lock_table_reserve);
 }
 
@@ -132,7 +135,7 @@ chain::Block Miner::assemble(const std::vector<chain::Transaction>& txs,
   block.header.parent_hash = parent.hash();
   {
     const auto begin = std::chrono::steady_clock::now();
-    block.header.state_root = engine_.world().state_root();
+    block.header.state_root = engine_.world().state_root(&parallel_);
     stats_.state_root_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - begin)
             .count();

@@ -7,6 +7,7 @@
 #include "chain/block.hpp"
 #include "chain/transaction.hpp"
 #include "core/execution_engine.hpp"
+#include "core/pool_parallel.hpp"
 #include "detect/detect.hpp"
 #include "sched/fork_join.hpp"
 #include "stm/runtime.hpp"
@@ -120,6 +121,10 @@ class Miner {
   [[nodiscard]] const MinerStats& last_stats() const noexcept { return stats_; }
   [[nodiscard]] unsigned threads() const noexcept { return pool_.size(); }
 
+  /// The miner's pool as a vm::ParallelFor, for state roots computed
+  /// while the miner is idle (the node's genesis root).
+  [[nodiscard]] const vm::ParallelFor& parallel_for() const noexcept { return parallel_; }
+
   /// ConcordSan findings for the last mined block. Empty (clean) when
   /// MinerConfig::detect is off or no block has been mined yet.
   [[nodiscard]] const detect::DetectReport& last_detect_report() const noexcept {
@@ -142,6 +147,7 @@ class Miner {
   ExecutionEngine engine_;
   stm::BoostingRuntime runtime_;
   sched::ForkJoinPool pool_;
+  vm::ParallelFor parallel_;  ///< pool_, for the block's state root.
   MinerStats stats_;
   detect::DetectReport detect_report_;
 };

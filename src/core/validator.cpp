@@ -24,7 +24,10 @@ std::string_view to_string(RejectReason reason) noexcept {
 }
 
 Validator::Validator(vm::World& world, ValidatorConfig config)
-    : config_(config), engine_(world, config.engine()), pool_(config.threads) {}
+    : config_(config),
+      engine_(world, config.engine()),
+      pool_(config.threads),
+      parallel_(pool_parallel_for(pool_)) {}
 
 std::optional<graph::HappensBeforeGraph> Validator::structural_checks(
     const chain::Block& block, ValidationReport& report) const {
@@ -119,7 +122,7 @@ ValidationReport Validator::validate_parallel(const chain::Block& block) {
     report.detail = "transaction outcome divergence";
     return report;
   }
-  if (engine_.world().state_root() != block.header.state_root) {
+  if (engine_.world().state_root(&parallel_) != block.header.state_root) {
     report.reason = RejectReason::kStateRootMismatch;
     report.detail = "final state divergence";
     return report;

@@ -7,6 +7,7 @@
 
 #include "chain/block.hpp"
 #include "core/execution_engine.hpp"
+#include "core/pool_parallel.hpp"
 #include "graph/happens_before.hpp"
 #include "sched/fork_join.hpp"
 #include "vm/gas.hpp"
@@ -105,6 +106,7 @@ class Validator {
   ValidatorConfig config_;
   ExecutionEngine engine_;
   sched::ForkJoinPool pool_;
+  vm::ParallelFor parallel_;  ///< pool_, for validate_parallel's state root.
 };
 
 }  // namespace concord::core

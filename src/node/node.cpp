@@ -52,7 +52,8 @@ NodeConfig require_config(NodeConfig config) {
 
 // Both stages are COW forks of one snapshot, so their genesis roots
 // agree by construction — the old dual-world drift guard has nothing
-// left to check.
+// left to check. The genesis root is hashed on the miner's pool, idle
+// until run().
 Node::Node(std::unique_ptr<vm::World> world, NodeConfig config)
     : config_(require_config(std::move(config))),
       miner_world_(require_world(std::move(world))),
@@ -62,7 +63,7 @@ Node::Node(std::unique_ptr<vm::World> world, NodeConfig config)
       mempool_(config_.batch, config_.mempool_capacity),
       miner_(*miner_world_, config_.miner),
       validator_(*validator_world_, config_.validator),
-      chain_(genesis_.state_root()),
+      chain_(genesis_.state_root(&miner_.parallel_for())),
       snapshots_(std::max<std::size_t>(config_.retain_snapshots, 1)) {
   // The read path serves genesis ("as of block 0") from the moment the
   // node exists; its root is already computed (the chain header above).

@@ -1,6 +1,12 @@
 #include "util/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 #include "util/bytes.hpp"
 
@@ -24,58 +30,196 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
   return (x >> n) | (x << (32 - n));
 }
 
+constexpr std::array<std::uint32_t, 8> kInitialState = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+void compress_portable(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                       std::size_t blocks) noexcept {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::array<std::uint32_t, 64> w{};
+    for (std::size_t i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (std::size_t i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0];
+    std::uint32_t b = state[1];
+    std::uint32_t c = state[2];
+    std::uint32_t d = state[3];
+    std::uint32_t e = state[4];
+    std::uint32_t f = state[5];
+    std::uint32_t g = state[6];
+    std::uint32_t h = state[7];
+
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+/// Lane-wise 32-bit add (the one generic SIMD operation the rounds need).
+__attribute__((target("sha,sse4.1"))) inline __m128i add32(__m128i a, __m128i b) noexcept {
+  return _mm_add_epi32(a, b);  // NOLINT(portability-simd-intrinsics): x86-only by construction.
+}
+
+/// The same compression on the SHA extensions. The state is kept as the
+/// two registers the sha256rnds2 instruction works on, ABEF and CDGH.
+/// Each group g of four rounds consumes message words W[4g..4g+3] from
+/// msg[g % 4]; groups 3..14 extend the schedule one group ahead
+/// (sha256msg1 / sha256msg2), so each register is overwritten only after
+/// its last read.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* data, std::size_t blocks) noexcept {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const auto* words = reinterpret_cast<const __m128i*>(state.data());
+  __m128i dcba = _mm_loadu_si128(words);
+  __m128i hgfe = _mm_loadu_si128(words + 1);
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  hgfe = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i msg[4];  // A std::array would drop __m128i's alignment attribute.
+    for (std::size_t i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)), byte_swap);
+    }
+#pragma GCC unroll 16
+    for (std::size_t g = 0; g < 16; ++g) {
+      const __m128i& cur = msg[g % 4];
+      const __m128i wk = add32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (g >= 3 && g <= 14) {
+        __m128i& next = msg[(g + 1) % 4];
+        next = add32(next, _mm_alignr_epi8(cur, msg[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (g >= 1 && g <= 12) msg[(g + 3) % 4] = _mm_sha256msg1_epu32(msg[(g + 3) % 4], cur);
+    }
+    abef = add32(abef, abef_in);
+    cdgh = add32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  auto* out = reinterpret_cast<__m128i*>(state.data());
+  _mm_storeu_si128(out, _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(out + 1, _mm_alignr_epi8(dchg, feba, 8));
+}
+
+/// CPUID leaf 7 EBX bit 29 (SHA) and leaf 1 ECX bits 9 and 19 (SSSE3,
+/// SSE4.1), which the shuffles and blends need.
+bool cpu_has_sha_ni() noexcept {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse = (ecx & (1U << 9)) != 0 && (ecx & (1U << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return sse && (ebx & (1U << 29)) != 0;
+}
+
+#endif
+
+/// The process-wide compression function, chosen on first use.
+detail::CompressFn active_compress() noexcept {
+#if defined(__x86_64__)
+  static const detail::CompressFn chosen = cpu_has_sha_ni() ? compress_sha_ni : compress_portable;
+  return chosen;
+#else
+  return compress_portable;
+#endif
+}
+
 }  // namespace
 
 std::string Hash256::to_hex() const { return util::to_hex(bytes); }
 
+Sha256::Sha256() noexcept : Sha256(active_compress()) {}
+
 void Sha256::reset() noexcept {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  state_ = kInitialState;
   buffered_ = 0;
   total_bytes_ = 0;
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
   total_bytes_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* in = data.data();
+  std::size_t left = data.size();
 
   if (buffered_ > 0) {
-    const std::size_t take = std::min(data.size(), buffer_.size() - buffered_);
-    std::memcpy(buffer_.data() + buffered_, data.data(), take);
+    const std::size_t take = std::min(left, buffer_.size() - buffered_);
+    std::memcpy(buffer_.data() + buffered_, in, take);
     buffered_ += take;
-    offset = take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    in += take;
+    left -= take;
+    if (buffered_ < buffer_.size()) return;
+    compress_(state_, buffer_.data(), 1);
+    buffered_ = 0;
   }
 
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  if (const std::size_t blocks = left / 64; blocks > 0) {
+    compress_(state_, in, blocks);
+    in += blocks * 64;
+    left -= blocks * 64;
   }
 
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
+  if (left > 0) {
+    std::memcpy(buffer_.data(), in, left);
+    buffered_ = left;
   }
 }
 
 Hash256 Sha256::finish() noexcept {
+  // The 0x80 terminator, zeros up to 56 mod 64, then the 64-bit
+  // big-endian message length: one or two blocks, compressed in one call.
+  std::array<std::uint8_t, 128> tail{};
+  std::memcpy(tail.data(), buffer_.data(), buffered_);
+  tail[buffered_] = 0x80;
+  const std::size_t blocks = buffered_ < 56 ? 1 : 2;
   const std::uint64_t bit_length = total_bytes_ * 8;
-
-  // Append the 0x80 terminator, zero-pad to 56 mod 64, then the 64-bit
-  // big-endian message length.
-  const std::uint8_t terminator = 0x80;
-  update(std::span<const std::uint8_t>(&terminator, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-
-  std::array<std::uint8_t, 8> length_be{};
-  for (int i = 0; i < 8; ++i) {
-    length_be[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  for (std::size_t i = 0; i < 8; ++i) {
+    tail[64 * blocks - 1 - i] = static_cast<std::uint8_t>(bit_length >> (8 * i));
   }
-  update(length_be);
+  compress_(state_, tail.data(), blocks);
 
   Hash256 out;
   for (std::size_t i = 0; i < 8; ++i) {
@@ -87,55 +231,17 @@ Hash256 Sha256::finish() noexcept {
   return out;
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-  std::array<std::uint32_t, 64> w{};
-  for (std::size_t i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (std::size_t i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+namespace detail {
 
-  std::uint32_t a = state_[0];
-  std::uint32_t b = state_[1];
-  std::uint32_t c = state_[2];
-  std::uint32_t d = state_[3];
-  std::uint32_t e = state_[4];
-  std::uint32_t f = state_[5];
-  std::uint32_t g = state_[6];
-  std::uint32_t h = state_[7];
+bool sha_ni_active() noexcept { return active_compress() != compress_portable; }
 
-  for (std::size_t i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+Hash256 sha256_portable(std::span<const std::uint8_t> data) noexcept {
+  Sha256 h(compress_portable);
+  h.update(data);
+  return h.finish();
 }
+
+}  // namespace detail
 
 Hash256 sha256(std::span<const std::uint8_t> data) noexcept {
   Sha256 h;

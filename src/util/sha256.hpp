@@ -2,6 +2,7 @@
 
 #include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -34,12 +35,32 @@ struct Hash256 {
   }
 };
 
+class Sha256;
+
+namespace detail {
+
+/// A SHA-256 compression function: folds `blocks` consecutive 64-byte
+/// blocks starting at `data` into `state`.
+using CompressFn = void (*)(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                            std::size_t blocks) noexcept;
+
+/// True when this CPU has the SHA extensions and Sha256 runs on them.
+[[nodiscard]] bool sha_ni_active() noexcept;
+
+/// One-shot SHA-256 through the portable compression function whatever
+/// the CPU: the reference the SHA-NI path is tested against.
+[[nodiscard]] Hash256 sha256_portable(std::span<const std::uint8_t> data) noexcept;
+
+}  // namespace detail
+
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch so the
 /// repository has no external dependencies. Used for block hashes, state
-/// roots and EtherDoc document hashcodes.
+/// roots and EtherDoc document hashcodes. The compression function is
+/// picked once per process: the x86 SHA extensions (SHA-NI) when the CPU
+/// has them, the portable C++ rounds otherwise. Both give the same bytes.
 class Sha256 {
  public:
-  Sha256() noexcept { reset(); }
+  Sha256() noexcept;
 
   /// Restores the initial state.
   void reset() noexcept;
@@ -56,8 +77,11 @@ class Sha256 {
   [[nodiscard]] Hash256 finish() noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
+  friend Hash256 detail::sha256_portable(std::span<const std::uint8_t> data) noexcept;
 
+  explicit Sha256(detail::CompressFn compress) noexcept : compress_(compress) { reset(); }
+
+  detail::CompressFn compress_;
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cstring>
 #include <mutex>
+#include <new>
+
+#include <sys/mman.h>
 
 namespace concord::vm {
 
@@ -18,8 +21,23 @@ namespace {
 /// kMinBlockBytes — lands on a line boundary: no block straddles two
 /// lines and no two blocks share one.
 constexpr std::size_t kChunkHeaderBytes = PageArena::kMinBlockBytes;
-constexpr std::align_val_t kChunkAlign{PageArena::kMinBlockBytes};
 static_assert(kChunkHeaderBytes >= sizeof(std::byte*));
+
+/// Slabs are mapped straight from the OS (page-aligned, so line-aligned)
+/// and unmapped when the arena dies. Taken from malloc instead, a 1 MiB
+/// slab lands in the allocating thread's heap once malloc's dynamic mmap
+/// threshold has grown past it, and a heap keeps freed interior memory
+/// resident: every short-lived lineage (a node per benchmark episode)
+/// would leave its slabs behind in whichever thread heaps carved them.
+std::byte* map_slab() {
+  void* slab = ::mmap(nullptr, PageArena::kChunkBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  // MAP_FAILED is (void*)-1 by definition, an integer-to-pointer cast.
+  if (slab == MAP_FAILED) throw std::bad_alloc();  // NOLINT(performance-no-int-to-ptr)
+  return static_cast<std::byte*>(slab);
+}
+
+void unmap_slab(std::byte* slab) noexcept { ::munmap(slab, PageArena::kChunkBytes); }
 
 /// Bytes a stripe asks for per bump run: enough blocks that the central
 /// chunk lock is a rounding error, small enough that eleven classes times
@@ -54,7 +72,7 @@ PageArena::~PageArena() {
   while (chunk != nullptr) {
     std::byte* next = nullptr;
     std::memcpy(&next, chunk, sizeof(next));
-    ::operator delete(chunk, kChunkBytes, kChunkAlign);
+    unmap_slab(chunk);
     chunk = next;
   }
 }
@@ -78,7 +96,7 @@ std::pair<std::byte*, std::size_t> PageArena::carve_run(std::size_t block,
     // Open slab exhausted (or first use): start a fresh one. The slab's
     // leftover tail, if any, is abandoned — bounded waste of < one block
     // per slab, never leaked (the slab list owns it).
-    auto* chunk = static_cast<std::byte*>(::operator new(kChunkBytes, kChunkAlign));
+    std::byte* chunk = map_slab();
     std::memcpy(chunk, &chunk_head_, sizeof(chunk_head_));
     chunk_head_ = chunk;
     ++chunks_;

@@ -57,7 +57,8 @@ struct ArenaStats {
 ///  - larger requests (big directories, 1M-account CDF tables) fall
 ///    through to the global heap, counted but not pooled — they are rare
 ///    and reuse-friendly there;
-///  - slabs are only returned to the OS when the arena dies.
+///  - slabs are mapped from the OS and only returned to it (unmapped)
+///    when the arena dies.
 ///
 /// Thread safety: fully thread-safe. Each size class is split into
 /// kStripeCount stripes; threads are round-robined onto stripes, so the

@@ -131,6 +131,17 @@ class BoostedCounterMap {
     data_.reserve(expected_entries);
   }
 
+  /// Binds key_at(i) to `value` for every i in [0, count) in one pass
+  /// (CowPages::insert_absent): genesis seeding of million-account
+  /// worlds. Precondition: the keys hold no entry and are distinct.
+  /// Seeding 0 is a no-op (absent ≡ 0).
+  template <typename KeyAt>
+  void raw_seed(std::size_t count, KeyAt&& key_at, Value value) {
+    if (value == 0) return;
+    std::scoped_lock lk(mu_);
+    data_.insert_absent(count, std::forward<KeyAt>(key_at), value);
+  }
+
   [[nodiscard]] Value raw_get(const K& key) const {
     std::scoped_lock lk(mu_);
     const Value* value = data_.find(key);

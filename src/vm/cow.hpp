@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -292,14 +294,65 @@ class CowPages final : public HashableMap {
     }
   }
 
+  /// Binds key_at(i) to `value` for every i in [0, count): the result of
+  /// `count` insert_or_assign calls (same entries, same directory size,
+  /// same digest) in one pass. Precondition: the keys are absent and
+  /// distinct. Counts the keys per page, counting-sorts their indices by
+  /// page, then fills each touched page once with an exact reserve and
+  /// clears its digest path once. No (key, value) list is built:
+  /// key_at(i) is called twice per index instead. Like every mutation it
+  /// detaches from any fork sharing the directory or a page.
+  template <typename KeyAt>
+  void insert_absent(std::size_t count, KeyAt&& key_at, const V& value) {
+    if (count > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("CowPages::insert_absent: more than 2^32 - 1 keys");
+    }
+    if (count == 0) return;
+    reserve(size_ + count);
+    if (!cow_detail::sole_owner(dir_)) dir_ = copy_dir(*dir_);
+    const std::size_t pages = dir_->pages.size();
+
+    // begin[p + 1] counts page p's keys, then (prefix sums) begin[p] is
+    // where page p's run of indices starts in `order`.
+    std::vector<std::uint32_t> begin(pages + 1, 0);
+    for (std::size_t i = 0; i < count; ++i) ++begin[slot_of(key_at(i), pages) + 1];
+    for (std::size_t p = 0; p < pages; ++p) begin[p + 1] += begin[p];
+    std::vector<std::uint32_t> order(count);
+    {
+      std::vector<std::uint32_t> cursor(begin.begin(), begin.end() - 1);
+      for (std::size_t i = 0; i < count; ++i) {
+        order[cursor[slot_of(key_at(i), pages)]++] = static_cast<std::uint32_t>(i);
+      }
+    }
+
+    for (std::size_t p = 0; p < pages; ++p) {
+      if (begin[p] == begin[p + 1]) continue;
+      Page& page = detach_page(p);
+      page.entries.reserve(page.entries.size() + (begin[p + 1] - begin[p]));
+      for (std::uint32_t at = begin[p]; at < begin[p + 1]; ++at) {
+        K key = key_at(order[at]);
+        assert(find_in(page, key) == nullptr && "insert_absent: key already bound");
+        page.entries.emplace_back(std::move(key), value);
+      }
+    }
+    size_ += count;
+  }
+
   /// Merkle digest of the entry set (see the class comment). O(pages
   /// written since the cached digests were computed) when the directory
-  /// has its canonical size, O(size) otherwise.
-  [[nodiscard]] util::Hash256 digest() const override {
+  /// has its canonical size, O(size) otherwise. With `parallel` (and a
+  /// canonical directory), the subtrees no digest covers yet are filled on
+  /// that pool first (fill_cold_subtrees); the walk below then reads
+  /// their cached digests.
+  [[nodiscard]] util::Hash256 digest(const ParallelFor* parallel = nullptr) const override {
     const std::size_t buckets = pages_for(size_);
     const cow_detail::DigestShape shape(buckets);
+    const bool canonical = buckets == dir_->pages.size();
+    if (canonical && parallel != nullptr && parallel->workers() > 1) {
+      fill_cold_subtrees(shape, *parallel);
+    }
     LeafScratch scratch;
-    return subtree_digest(shape, shape.levels - 1, 0, buckets == dir_->pages.size(), scratch);
+    return subtree_digest(shape, shape.levels - 1, 0, canonical, scratch);
   }
 
   void for_each_encoded(const EntryVisitor& visit) const override {
@@ -417,11 +470,17 @@ class CowPages final : public HashableMap {
   }
 
   /// Ensure-unique on write, both levels: private directory, then a
-  /// private copy of the page the key lands in. Either way the page's
-  /// digest and its path are cleared, since the caller is about to write.
+  /// private copy of the page the key lands in.
   Page& mutable_page_for(const K& key) {
     if (!cow_detail::sole_owner(dir_)) dir_ = copy_dir(*dir_);
-    const std::size_t index = page_index(key);
+    return detach_page(page_index(key));
+  }
+
+  /// Page `index` of a directory this instance solely owns, made private
+  /// (copied unless this directory is its sole owner). Either way the
+  /// page's digest and its path are cleared, since the caller is about
+  /// to write.
+  Page& detach_page(std::size_t index) {
     PageRef& slot = dir_->pages[index];
     if (cow_detail::sole_owner(slot)) {
       slot->clear_digest();
@@ -478,6 +537,44 @@ class CowPages final : public HashableMap {
     std::vector<Item> items;
     util::ByteWriter preimage;  ///< The leaf's hash input.
   };
+
+  /// A parallel fill splits the tree at its highest level with at least
+  /// this many nodes, so each task is a subtree and the serial walk left
+  /// over touches fewer than this many nodes per level above it.
+  static constexpr std::size_t kParallelLevelNodes = 64;
+  /// Fewer uncached subtrees than this are not worth waking the pool for.
+  static constexpr std::size_t kParallelMinSubtrees = 16;
+
+  [[nodiscard]] bool is_cached(const cow_detail::DigestShape& shape, std::size_t level,
+                               std::size_t index) const noexcept {
+    return level == 0 ? dir_->pages[index]->cached_digest() != nullptr
+                      : dir_->nodes[shape.offset[level] + index].get() != nullptr;
+  }
+
+  /// Computes, on `parallel`'s workers, every uncached node of the split
+  /// level (see kParallelLevelNodes) and publishes it with its subtree.
+  /// Each worker keeps one LeafScratch and claims subtrees from a shared
+  /// cursor. Caller: digest(), canonical directory. A fork sharing the
+  /// directory may fill the same cells at the same time; the
+  /// claim-then-publish protocol keeps one digest, and both are equal.
+  void fill_cold_subtrees(const cow_detail::DigestShape& shape,
+                          const ParallelFor& parallel) const {
+    std::size_t level = shape.levels - 1;
+    while (level > 0 && shape.count[level] < kParallelLevelNodes) --level;
+    if (shape.count[level] < kParallelLevelNodes) return;
+    std::vector<std::size_t> cold;
+    for (std::size_t i = 0; i < shape.count[level]; ++i) {
+      if (!is_cached(shape, level, i)) cold.push_back(i);
+    }
+    if (cold.size() < kParallelMinSubtrees) return;
+    std::atomic<std::size_t> next{0};
+    parallel(std::min<std::size_t>(parallel.workers(), cold.size()), [&](std::size_t) {
+      LeafScratch scratch;
+      for (std::size_t c = next.fetch_add(1); c < cold.size(); c = next.fetch_add(1)) {
+        (void)subtree_digest(shape, level, cold[c], true, scratch);
+      }
+    });
+  }
 
   /// Digest of node `index` at `level` of the tree `shape` describes.
   /// With `cached`, the directory is canonical and its cached digests are

@@ -5,11 +5,33 @@
 #include <functional>
 #include <span>
 #include <string_view>
+#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/sha256.hpp"
 
 namespace concord::vm {
+
+/// A way to run independent tasks on a thread pool, for state hashing
+/// that spreads its work. vm/ knows no pool type; the stage that owns one
+/// adapts it (core::pool_parallel_for). `run(tasks, body)` calls
+/// body(0..tasks-1), each exactly once, and returns when all have run;
+/// at most workers() of them run at a time.
+class ParallelFor {
+ public:
+  using Body = std::function<void(std::size_t task)>;
+  using Run = std::function<void(std::size_t tasks, const Body& body)>;
+
+  ParallelFor(unsigned workers, Run run) : workers_(workers), run_(std::move(run)) {}
+
+  [[nodiscard]] unsigned workers() const noexcept { return workers_; }
+
+  void operator()(std::size_t tasks, const Body& body) const { run_(tasks, body); }
+
+ private:
+  unsigned workers_;
+  Run run_;
+};
 
 /// A map-valued field as the state hasher sees it. CowPages implements
 /// it; the boosted maps hand their CowPages to StateHasher::put_map.
@@ -21,7 +43,9 @@ class HashableMap {
 
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
   /// A digest that depends only on the set of (key, value) entries.
-  [[nodiscard]] virtual util::Hash256 digest() const = 0;
+  /// With `parallel`, the map may hash parts of itself on that pool; the
+  /// digest is the same either way.
+  [[nodiscard]] virtual util::Hash256 digest(const ParallelFor* parallel) const = 0;
   /// Visits every entry's encodings in unspecified order.
   virtual void for_each_encoded(const EntryVisitor& visit) const = 0;
 
@@ -40,10 +64,11 @@ class HashableMap {
 /// folds in the format version that fixes the layout).
 ///
 /// put_map is the one virtual hook: a test oracle overrides it to fold a
-/// map's raw entries instead of its digest.
+/// map's raw entries instead of its digest. A hasher built with a
+/// ParallelFor hands it to every map digest.
 class StateHasher {
  public:
-  StateHasher() = default;
+  explicit StateHasher(const ParallelFor* parallel = nullptr) : parallel_(parallel) {}
   StateHasher(const StateHasher&) = delete;
   StateHasher& operator=(const StateHasher&) = delete;
   virtual ~StateHasher() = default;
@@ -60,7 +85,7 @@ class StateHasher {
   virtual void put_map(std::string_view label, const HashableMap& map) {
     begin_section(label);
     put_u64(map.size());
-    put_bytes(map.digest().bytes);
+    put_bytes(map.digest(parallel_).bytes);
   }
 
   /// Finishes and returns the state root.
@@ -69,6 +94,7 @@ class StateHasher {
   }
 
  private:
+  const ParallelFor* parallel_;
   util::ByteWriter writer_;
 };
 

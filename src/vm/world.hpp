@@ -77,8 +77,10 @@ class World {
   /// Canonical digest of all persistent state; the block's state root.
   /// Incremental: a map rehashes only the pages written since its digests
   /// were last computed, on this world or on any fork sharing the pages.
-  [[nodiscard]] util::Hash256 state_root() const {
-    StateHasher hasher;
+  /// With `parallel`, a large map hashes its dirty subtrees on that pool
+  /// (CowPages::digest); the root is the same bytes either way.
+  [[nodiscard]] util::Hash256 state_root(const ParallelFor* parallel = nullptr) const {
+    StateHasher hasher(parallel);
     hash_state(hasher);
     return hasher.finish();
   }
@@ -169,10 +171,12 @@ class WorldSnapshot {
   /// The state root at the moment the snapshot was taken (zero hash for
   /// an empty handle). Computed on first call and cached in the shared
   /// frozen state; safe to race from handles sharing one snapshot.
-  [[nodiscard]] const util::Hash256& state_root() const {
+  /// `parallel` is used only by the call that computes it.
+  [[nodiscard]] const util::Hash256& state_root(const ParallelFor* parallel = nullptr) const {
     static const util::Hash256 kZeroRoot{};
     if (!valid()) return kZeroRoot;
-    std::call_once(frozen_->once, [this] { frozen_->root = frozen_->world->state_root(); });
+    std::call_once(frozen_->once,
+                   [this, parallel] { frozen_->root = frozen_->world->state_root(parallel); });
     return frozen_->root;
   }
 

@@ -160,15 +160,12 @@ void build_etherdoc(vm::World& world, const WorkloadSpec& spec, std::uint64_t ac
 /// Deploys a Token provisioned with `accounts` seeded balances. Deploy
 /// *first*, then seed: ContractRegistry::add binds the world's arena, so
 /// the genesis pages themselves come out of the pool — at 1M accounts
-/// genesis is most of the fixture's allocation traffic. raw_reserve
-/// pre-sizes the directory so seeding runs without the doubling walk.
+/// genesis is most of the fixture's allocation traffic. The bulk seed
+/// sizes the directory once and fills each page once.
 Token& deploy_seeded_token(vm::World& world, std::size_t accounts, vm::Amount seed_balance) {
   auto& token = static_cast<Token&>(
       world.contracts().add(std::make_unique<Token>(kTokenAddr, "ZPF", kIssuer)));
-  token.raw_reserve(accounts);
-  for (std::size_t a = 0; a < accounts; ++a) {
-    token.raw_set_balance(account_addr(a), seed_balance);
-  }
+  token.raw_seed_balances(accounts, account_addr, seed_balance);
   return token;
 }
 
@@ -194,10 +191,7 @@ void build_zipf_hot_pool(vm::World& world, const ZipfSpec& spec, util::Rng& rng,
   constexpr vm::Amount kSeedBid = 100;
   auto& auction = static_cast<SimpleAuction&>(
       world.contracts().add(std::make_unique<SimpleAuction>(kAuctionAddr, kBeneficiary)));
-  auction.raw_reserve(spec.accounts);
-  for (std::size_t a = 0; a < spec.accounts; ++a) {
-    auction.raw_add_pending(account_addr(a), kSeedBid);
-  }
+  auction.raw_seed_pending(spec.accounts, account_addr, kSeedBid);
   const vm::Address seed_leader = account_addr(spec.accounts);  // Outside the bidder range.
   auction.raw_set_highest(seed_leader, 1'000);
   const auto escrow =

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -241,6 +244,69 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.update(std::string_view(data).substr(0, split));
     h.update(std::string_view(data).substr(split));
     EXPECT_EQ(h.finish(), sha256(data));
+  }
+}
+
+// The portable compression function through the test seam, on the same
+// FIPS 180-4 vectors (the tests above run whichever path the CPU picks).
+TEST(Sha256, FipsVectorsOnPortablePath) {
+  const auto portable = [](std::string_view text) {
+    return detail::sha256_portable(
+        std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+  };
+  EXPECT_EQ(portable("").to_hex(),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(portable("abc").to_hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(portable("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(portable(std::string(1'000'000, 'a')).to_hex(),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+/// Random bytes: `size` of them, plus 63 of slack for start offsets.
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t size) {
+  std::vector<std::uint8_t> bytes(size + 63);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  return bytes;
+}
+
+// Every length across the padding boundaries (0..130) and random lengths
+// up to 4 KiB, each at every start offset 0..63: the SHA-NI path reads
+// its input with unaligned loads, so misalignment must not change a byte.
+TEST(Sha256, ShaNiMatchesPortableAtEveryOffset) {
+  if (!detail::sha_ni_active()) GTEST_SKIP() << "this CPU has no SHA extensions";
+  Rng rng(0x5A);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 130; ++len) lengths.push_back(len);
+  for (int i = 0; i < 48; ++i) lengths.push_back(rng.below(4'097));
+  lengths.push_back(4'096);
+  for (const std::size_t len : lengths) {
+    const std::vector<std::uint8_t> bytes = random_bytes(rng, len);
+    for (std::size_t offset = 0; offset < 64; ++offset) {
+      const std::span<const std::uint8_t> message(bytes.data() + offset, len);
+      ASSERT_EQ(sha256(message), detail::sha256_portable(message))
+          << "length " << len << ", offset " << offset;
+    }
+  }
+}
+
+// Incremental updates split at random points hand the compression
+// function buffered blocks and runs of several blocks in one call.
+TEST(Sha256, ShaNiIncrementalSplitsMatchPortable) {
+  if (!detail::sha_ni_active()) GTEST_SKIP() << "this CPU has no SHA extensions";
+  Rng rng(0x5B);
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t len = rng.below(4'097);
+    const std::vector<std::uint8_t> bytes = random_bytes(rng, len);
+    const std::span<const std::uint8_t> message(bytes.data() + rng.below(64), len);
+    Sha256 h;
+    for (std::size_t at = 0; at < len;) {
+      const std::size_t take = std::min<std::size_t>(len - at, rng.below(300));
+      h.update(message.subspan(at, take));
+      at += take;
+    }
+    ASSERT_EQ(h.finish(), detail::sha256_portable(message)) << "round " << round;
   }
 }
 

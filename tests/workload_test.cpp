@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+
 #include "contracts/ballot.hpp"
 #include "contracts/etherdoc.hpp"
 #include "contracts/simple_auction.hpp"
@@ -255,6 +258,92 @@ TEST(ZipfFixture, ScenarioNamesAreStable) {
   EXPECT_EQ(to_string(ZipfScenario::kTokenTransfers), "TokenTransfers");
   EXPECT_EQ(to_string(ZipfScenario::kHotPool), "HotPool");
   EXPECT_EQ(to_string(ZipfScenario::kAirdrop), "Airdrop");
+}
+
+// ------------------------------------------------- Bulk genesis seeding ---
+
+/// Zipf account `rank`, as the fixtures address it.
+vm::Address zipf_account(std::uint64_t rank) { return vm::Address::from_u64(rank, 0x05); }
+
+/// The genesis `fixture` was built for, rebuilt the per-key way: one
+/// raw_set per account on a directory that grows by doubling.
+std::unique_ptr<vm::World> per_key_genesis(const ZipfSpec& spec, const Fixture& fixture) {
+  auto world =
+      std::make_unique<vm::World>(spec.use_arena ? vm::make_arena() : vm::ArenaHandle{});
+  if (spec.scenario == ZipfScenario::kHotPool) {
+    const auto& seeded = fixture.world->contracts().as<contracts::SimpleAuction>(fixture.auction);
+    auto& auction = static_cast<contracts::SimpleAuction&>(world->contracts().add(
+        std::make_unique<contracts::SimpleAuction>(fixture.auction, seeded.beneficiary())));
+    for (std::size_t a = 0; a < spec.accounts; ++a) auction.raw_add_pending(zipf_account(a), 100);
+    auction.raw_set_highest(seeded.raw_highest_bidder(), seeded.raw_highest_bid());
+    world->balances().raw_set(fixture.auction,
+                              fixture.world->balances().raw_get(fixture.auction));
+  } else {
+    const auto& seeded = fixture.world->contracts().as<contracts::Token>(fixture.token);
+    auto& token = static_cast<contracts::Token&>(world->contracts().add(
+        std::make_unique<contracts::Token>(fixture.token, seeded.symbol(), seeded.issuer())));
+    for (std::size_t a = 0; a < spec.accounts; ++a) {
+      token.raw_set_balance(zipf_account(a), 1'000'000);
+    }
+  }
+  return world;
+}
+
+TEST(BulkSeeding, GenesisRootMatchesPerKeySeeding) {
+  for (const ZipfScenario scenario : kAllZipfScenarios) {
+    for (const bool use_arena : {true, false}) {
+      for (const std::size_t accounts : {std::size_t{1}, std::size_t{4'099}, std::size_t{20'000}}) {
+        ZipfSpec spec;
+        spec.scenario = scenario;
+        spec.accounts = accounts;
+        spec.transactions = 10;
+        spec.use_arena = use_arena;
+        const Fixture fixture = make_zipf_fixture(spec);
+        EXPECT_EQ(fixture.world->state_root(), per_key_genesis(spec, fixture)->state_root())
+            << to_string(scenario) << ", " << accounts << " accounts, arena "
+            << (use_arena ? "on" : "off");
+      }
+    }
+  }
+}
+
+// A bulk seed on one side of a fork never writes through to the other:
+// once with a directory the seed must grow (a fresh one is built), once
+// with a directory reserved ahead (the shared one and its pages are
+// copied before the seed writes).
+TEST(BulkSeeding, ForkSharingTheDirectoryIsDetached) {
+  for (const std::size_t reserved : {std::size_t{0}, std::size_t{10'000}}) {
+    vm::World world;
+    auto& token = static_cast<contracts::Token&>(world.contracts().add(
+        std::make_unique<contracts::Token>(vm::Address::from_u64(4, 0xCC), "T",
+                                           vm::Address::from_u64(4, 0x04))));
+    token.raw_reserve(reserved);
+    token.raw_seed_balances(1'000, zipf_account, 7);
+    const util::Hash256 before = world.state_root();
+    const std::unique_ptr<vm::World> fork = world.fork();
+
+    token.raw_seed_balances(
+        2'000, [](std::size_t i) { return zipf_account(1'000 + i); }, 9);
+    const auto& forked = fork->contracts().as<contracts::Token>(token.address());
+    EXPECT_EQ(forked.holder_count(), 1'000u) << "reserved " << reserved;
+    EXPECT_EQ(forked.raw_balance(zipf_account(1'500)), 0) << "reserved " << reserved;
+    EXPECT_EQ(fork->state_root(), before) << "reserved " << reserved;
+    EXPECT_EQ(token.holder_count(), 3'000u);
+    EXPECT_EQ(token.raw_balance(zipf_account(1'500)), 9);
+    EXPECT_EQ(token.raw_balance(zipf_account(500)), 7);
+    EXPECT_NE(world.state_root(), before);
+  }
+}
+
+// The zipf-1m genesis root, pinned: bulk seeding must not move it.
+TEST(BulkSeeding, MillionAccountGenesisRootIsUnchanged) {
+  ZipfSpec spec;
+  spec.scenario = ZipfScenario::kTokenTransfers;
+  spec.accounts = 1'000'000;
+  spec.transactions = 10;
+  const Fixture fixture = make_zipf_fixture(spec);
+  EXPECT_EQ(fixture.world->state_root().to_hex(),
+            "b2df83fd7533d6a362552becfd01b375a0f2ebb945709c3123c1c5cfd4ca3d63");
 }
 
 }  // namespace

@@ -19,6 +19,9 @@
 #include "contracts/simple_auction.hpp"
 #include "contracts/token.hpp"
 #include "core/miner.hpp"
+#include "core/pool_parallel.hpp"
+#include "sched/fork_join.hpp"
+#include "util/rng.hpp"
 #include "vm/boosted_array.hpp"
 #include "vm/boosted_map.hpp"
 #include "vm/cow.hpp"
@@ -548,6 +551,82 @@ TEST(WorldForkConcurrency, SharedFrozenPagesServeConcurrentMaterializeAndWrites)
   EXPECT_EQ(boundary.state_root(), frozen_root);
 }
 
+/// A six-contract world plus `accounts` native balances: large enough that
+/// the balance map's digest splits into subtrees a pool can fill.
+std::unique_ptr<World> make_large_world(std::uint64_t accounts) {
+  auto world = make_six_contract_world();
+  world->balances().raw_seed(
+      accounts, [](std::size_t i) { return addr(i, 0x08); }, 5);
+  return world;
+}
+
+/// Random balance writes: overwrites, fresh accounts and erasures (a zero
+/// balance), spread over the whole table.
+void scatter_writes(World& world, std::uint64_t accounts, std::uint64_t seed, int count) {
+  util::Rng rng(seed);
+  for (int i = 0; i < count; ++i) {
+    const std::uint64_t account = rng.below(accounts + accounts / 8);
+    world.balances().raw_set(addr(account, 0x08), static_cast<Amount>(rng.below(3)));
+  }
+}
+
+// A root hashed with dirty subtrees filled on a 4-thread pool equals the
+// serial root, on forks written independently, on a reserved
+// (non-canonical) directory and on one grown then erased back; and it
+// equals the root of the same state built from scratch, which the flat
+// oracle confirms is the same state.
+TEST(WorldParallelRoot, MatchesSerialRootAndOracleAcrossForks) {
+  constexpr std::uint64_t kAccounts = 200'000;
+  sched::ForkJoinPool pool(4);
+  const ParallelFor parallel = core::pool_parallel_for(pool);
+
+  const auto base = make_large_world(kAccounts);
+  const util::Hash256 base_root = base->state_root(&parallel);
+  EXPECT_EQ(base_root, make_large_world(kAccounts)->state_root());
+
+  // Forks 0 and 1 come from the base, 2 and 3 from forks 0 and 1; each
+  // scatters its own writes, listed by seed in `history`.
+  std::vector<std::unique_ptr<World>> forks;
+  std::vector<std::vector<std::uint64_t>> history;
+  for (std::uint64_t f = 0; f < 4; ++f) {
+    forks.push_back(f < 2 ? base->fork() : forks[f - 2]->fork());
+    history.push_back(f < 2 ? std::vector<std::uint64_t>{} : history[f - 2]);
+    history.back().push_back(0xF0 + f);
+    scatter_writes(*forks.back(), kAccounts, 0xF0 + f, 2'000);
+  }
+  // Reserved ahead: the directory is larger than its entry count needs.
+  forks[1]->balances().raw_reserve(4 * kAccounts);
+  // Grown past a doubling, then erased back to the same entries.
+  {
+    auto& balances = forks[3]->balances();
+    const std::size_t fresh = kAccounts / 2;
+    for (std::size_t i = 0; i < fresh; ++i) balances.raw_set(addr(i, 0x09), 1);
+    for (std::size_t i = 0; i < fresh; ++i) balances.raw_set(addr(i, 0x09), 0);
+  }
+
+  for (std::size_t f = 0; f < forks.size(); ++f) {
+    const World& world = *forks[f];
+    // Alternate which path meets the cold cells first.
+    util::Hash256 parallel_root;
+    util::Hash256 serial_root;
+    if (f % 2 == 0) {
+      parallel_root = world.state_root(&parallel);
+      serial_root = world.state_root();
+    } else {
+      serial_root = world.state_root();
+      parallel_root = world.state_root(&parallel);
+    }
+    const auto reference = make_large_world(kAccounts);
+    for (const std::uint64_t seed : history[f]) scatter_writes(*reference, kAccounts, seed, 2'000);
+    EXPECT_EQ(parallel_root, serial_root) << "fork " << f;
+    EXPECT_EQ(parallel_root, reference->state_root()) << "fork " << f;
+    EXPECT_EQ(flat_root(world), flat_root(*reference)) << "fork " << f;
+    EXPECT_NE(parallel_root, base_root) << "fork " << f;
+  }
+  EXPECT_EQ(base->state_root(&parallel), base_root);
+  EXPECT_EQ(WorldSnapshot(*forks[0]).state_root(&parallel), forks[0]->state_root());
+}
+
 /// The TSan target for the digest cache: pages and a directory whose
 /// digests nobody has computed yet, shared by four forks. Three threads
 /// race to fill the same cache cells while the fourth writes, which
@@ -594,6 +673,45 @@ TEST(WorldForkConcurrency, RootsRacingOnColdSharedPagesMatchTheOracle) {
   EXPECT_EQ(written_root, expected_written);
   EXPECT_EQ(cold->state_root(), expected);
   EXPECT_EQ(flat_root(*cold), flat_root(*seeded()));
+}
+
+// The parallel fill beside a writer and a serial root: three forks share
+// one cold directory. One hashes on a 4-thread pool, one hashes serially,
+// and one writes (copying the directory and its cells out from under the
+// other two) and then hashes on the pool. Every root must equal the root
+// of an independently built world.
+TEST(WorldForkConcurrency, ParallelRootRacesASerialRootAndAWriter) {
+  constexpr std::uint64_t kAccounts = 200'000;
+  const auto write = [](World& world) { scatter_writes(world, kAccounts, 0xAB, 500); };
+  const auto reference = make_large_world(kAccounts);
+  const util::Hash256 expected = reference->state_root();
+  write(*reference);
+  const util::Hash256 expected_written = reference->state_root();
+
+  const auto cold = make_large_world(kAccounts);
+  std::vector<std::unique_ptr<World>> forks;
+  for (int f = 0; f < 3; ++f) forks.push_back(cold->fork());
+
+  sched::ForkJoinPool reader_pool(4);
+  sched::ForkJoinPool writer_pool(4);
+  const ParallelFor reader_parallel = core::pool_parallel_for(reader_pool);
+  const ParallelFor writer_parallel = core::pool_parallel_for(writer_pool);
+  util::Hash256 parallel_root;
+  util::Hash256 serial_root;
+  util::Hash256 written_root;
+  {
+    const std::jthread parallel_reader(
+        [&] { parallel_root = forks[0]->state_root(&reader_parallel); });
+    const std::jthread serial_reader([&] { serial_root = forks[1]->state_root(); });
+    const std::jthread writer([&] {
+      write(*forks[2]);
+      written_root = forks[2]->state_root(&writer_parallel);
+    });
+  }
+  EXPECT_EQ(parallel_root, expected);
+  EXPECT_EQ(serial_root, expected);
+  EXPECT_EQ(written_root, expected_written);
+  EXPECT_EQ(cold->state_root(&reader_parallel), expected);
 }
 
 }  // namespace
