@@ -48,7 +48,7 @@ int main() {
   }
   chain.append(miner.mine(registrations, chain.tip()));
   std::printf("block 1: %zu registrations, %zu happens-before edges\n", registrations.size(),
-              chain.tip().schedule.edges.size());
+              chain.tip().schedule.to_graph(registrations.size()).edge_count());
 
   // Block 2 — voting. A third of the electorate delegates; a few voters
   // try to vote twice (those must revert, deterministically).

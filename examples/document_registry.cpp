@@ -1,8 +1,10 @@
 // A proof-of-existence registry on EtherDoc, demonstrating the tamper
-// detection path: after mining an honest block, this example forges two
-// dishonest variants — a schedule stripped of its ordering edges (the "data
-// race" case) and a block claiming a wrong final state — and shows the
-// validator rejecting each with a precise reason.
+// detection path: after mining an honest block, this example forges three
+// dishonest variants — a lock profile that claims a read where the
+// transaction writes (the "data race" case), a block claiming a wrong
+// final state, and a flipped transaction outcome — and shows the validator
+// rejecting each with a precise reason. Exits non-zero if the honest block
+// is rejected or a forgery accepted.
 //
 // Build & run:  ./build/examples/document_registry
 
@@ -45,13 +47,26 @@ chain::Block genesis_of(const vm::World& world) {
   return genesis;
 }
 
-void try_validate(const char* label, const chain::Block& block) {
+bool try_validate(const char* label, const chain::Block& block) {
   auto replica = make_world();
   core::Validator validator(*replica, core::ValidatorConfig{.threads = 3});
   const auto report = validator.validate_parallel(block);
   std::printf("%-24s → %s%s%s\n", label, report.ok ? "ACCEPTED" : "REJECTED: ",
               report.ok ? "" : std::string(core::to_string(report.reason)).c_str(),
               report.ok ? "" : (" (" + report.detail + ")").c_str());
+  return report.ok;
+}
+
+/// Claims a read where the block's first write happened.
+void weaken_first_write(chain::BlockSchedule& schedule) {
+  for (auto& profile : schedule.profiles) {
+    for (auto& entry : profile.entries) {
+      if (entry.mode == stm::LockMode::kWrite) {
+        entry.mode = stm::LockMode::kRead;
+        return;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -73,27 +88,30 @@ int main() {
   }
   const chain::Block honest = miner.mine(txs, genesis_of(*world));
   std::printf("mined %zu txs: %zu schedule edges, %zu schedule bytes\n", txs.size(),
-              honest.schedule.edges.size(), miner.last_stats().schedule_bytes);
+              honest.schedule.to_graph(txs.size()).edge_count(),
+              miner.last_stats().schedule_bytes);
 
-  try_validate("honest block", honest);
+  const bool honest_ok = try_validate("honest block", honest);
 
-  // Forgery 1: strip the happens-before edges ("publish a racy schedule")
-  // and re-seal the header so only semantic validation can catch it.
+  // Forgery 1: weaken a write in the published lock profiles to a read.
+  // The validator derives the happens-before edges from the profiles, so
+  // under-claiming a footprint is how a miner would publish a racy
+  // schedule; the header is re-sealed so only the replay can catch it.
   chain::Block racy = honest;
-  racy.schedule.edges.clear();
+  weaken_first_write(racy.schedule);
   racy.header.schedule_hash = racy.schedule.hash();
-  try_validate("raceable schedule", racy);
+  const bool racy_ok = try_validate("weakened lock profile", racy);
 
   // Forgery 2: claim a different final state.
   chain::Block forged_state = honest;
   forged_state.header.state_root = util::sha256("not the real state");
-  try_validate("forged state root", forged_state);
+  const bool state_ok = try_validate("forged state root", forged_state);
 
   // Forgery 3: flip one transaction's recorded outcome and re-seal.
   chain::Block forged_status = honest;
   forged_status.statuses[1] = vm::TxStatus::kReverted;
   forged_status.header.status_root = forged_status.compute_status_root();
-  try_validate("forged tx status", forged_status);
+  const bool status_ok = try_validate("forged tx status", forged_status);
 
-  return 0;
+  return honest_ok && !racy_ok && !state_ok && !status_ok ? 0 : 1;
 }

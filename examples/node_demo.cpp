@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
     const chain::Block& block = chain.at(n);
     std::printf("block #%llu: %zu txs, %zu schedule edges, state root %.16s…\n",
                 static_cast<unsigned long long>(block.header.number), block.transactions.size(),
-                block.schedule.edges.size(), block.header.state_root.to_hex().c_str());
+                block.schedule.to_graph(block.transactions.size()).edge_count(),
+                block.header.state_root.to_hex().c_str());
   }
 
   const node::NodeStats& stats = node.stats();

@@ -60,8 +60,9 @@ int main() {
               static_cast<unsigned long long>(block.header.number), block.transactions.size(),
               static_cast<unsigned long long>(stats.attempts),
               static_cast<unsigned long long>(stats.conflict_aborts));
-  std::printf("published schedule: %zu happens-before edges, %zu bytes\n",
-              block.schedule.edges.size(), stats.schedule_bytes);
+  std::printf("published schedule: %zu bytes of lock profiles, %zu happens-before edges\n",
+              stats.schedule_bytes,
+              block.schedule.to_graph(block.transactions.size()).edge_count());
   std::printf("state root: %s\n", block.header.state_root.to_hex().c_str());
 
   // --- Validator node ------------------------------------------------------

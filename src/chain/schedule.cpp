@@ -42,13 +42,6 @@ stm::LockProfile decode_profile(util::ByteReader& r) {
 void BlockSchedule::encode(util::ByteWriter& w) const {
   w.put_varint(profiles.size());
   for (const auto& p : profiles) encode_profile(w, p);
-  w.put_varint(edges.size());
-  for (const auto& [u, v] : edges) {
-    w.put_varint(u);
-    w.put_varint(v);
-  }
-  w.put_varint(serial_order.size());
-  for (const std::uint32_t t : serial_order) w.put_varint(t);
 }
 
 BlockSchedule BlockSchedule::decode(util::ByteReader& r) {
@@ -56,18 +49,6 @@ BlockSchedule BlockSchedule::decode(util::ByteReader& r) {
   const std::uint64_t np = r.get_count(/*min_item_bytes=*/3);  // tx, reverted, entry count.
   s.profiles.reserve(np);
   for (std::uint64_t i = 0; i < np; ++i) s.profiles.push_back(decode_profile(r));
-  const std::uint64_t ne = r.get_count(/*min_item_bytes=*/2);  // Two varints.
-  s.edges.reserve(ne);
-  for (std::uint64_t i = 0; i < ne; ++i) {
-    const auto u = static_cast<std::uint32_t>(r.get_varint());
-    const auto v = static_cast<std::uint32_t>(r.get_varint());
-    s.edges.emplace_back(u, v);
-  }
-  const std::uint64_t no = r.get_count(/*min_item_bytes=*/1);
-  s.serial_order.reserve(no);
-  for (std::uint64_t i = 0; i < no; ++i) {
-    s.serial_order.push_back(static_cast<std::uint32_t>(r.get_varint()));
-  }
   return s;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "graph/happens_before.hpp"
@@ -11,27 +10,28 @@
 
 namespace concord::chain {
 
-/// The scheduling metadata a miner publishes in the block (paper §4):
-/// per-transaction lock profiles, the happens-before edges they induce,
-/// and the equivalent serial order S from the topological sort.
+/// The scheduling metadata a miner publishes in the block (paper §4): one
+/// lock profile per transaction, each lock paired with its use counter.
 ///
-/// The edges are technically recomputable from the profiles; publishing
-/// both matches the paper (the validator "transforms this happens-before
-/// graph into a fork-join program") and gives the validator a cheap
-/// cross-check: a block whose published graph does not imply the
-/// profile-derived constraints is rejected before any replay happens.
+/// The profiles are the whole schedule. The happens-before graph is a
+/// function of their counters (derive_happens_before), and any
+/// topological order of it is an equivalent serial order, so neither is
+/// published: a validator that re-derives the graph cannot be handed one
+/// that misses a constraint, and a second copy would only have to be
+/// proved consistent with the first. What a lying miner can still forge
+/// are the counters themselves; a forgery either orders two transactions
+/// both ways (the derived graph is cyclic and the block is rejected
+/// before replay) or claims an order the replay cannot reproduce.
 struct BlockSchedule {
-  std::vector<stm::LockProfile> profiles;                    ///< Indexed by tx.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  ///< Happens-before.
-  std::vector<std::uint32_t> serial_order;                   ///< S, a topo sort.
+  std::vector<stm::LockProfile> profiles;  ///< Indexed by tx.
 
   friend bool operator==(const BlockSchedule&, const BlockSchedule&) = default;
 
-  /// Materializes the published graph over `nodes` transactions.
+  /// The happens-before graph over `nodes` transactions, derived from the
+  /// profiles — the one source of the graph for miner, validator,
+  /// ConcordSan and the benches.
   [[nodiscard]] graph::HappensBeforeGraph to_graph(std::size_t nodes) const {
-    graph::HappensBeforeGraph g(nodes);
-    for (const auto& [u, v] : edges) g.add_edge(u, v);
-    return g;
+    return graph::derive_happens_before(profiles, nodes);
   }
 
   void encode(util::ByteWriter& w) const;

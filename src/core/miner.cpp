@@ -115,21 +115,15 @@ std::vector<vm::TxStatus> Miner::execute_serial_baseline(
 chain::Block Miner::assemble(const std::vector<chain::Transaction>& txs,
                              std::vector<vm::TxStatus> statuses,
                              std::vector<stm::LockProfile> profiles, const chain::Block& parent) {
-  const std::size_t n = txs.size();
-  const graph::HappensBeforeGraph hb = graph::derive_happens_before(profiles, n);
-  auto order = hb.topological_order();
-  if (!order) {
-    // Strict two-phase locking makes commit order consistent across
-    // locks; a cycle here means an STM invariant broke.
-    throw std::logic_error("derived happens-before graph is cyclic");
-  }
-
   chain::Block block;
   block.transactions = txs;
   block.statuses = std::move(statuses);
   block.schedule.profiles = std::move(profiles);
-  block.schedule.edges = hb.edges();
-  block.schedule.serial_order = std::move(*order);
+  if (!block.schedule.to_graph(txs.size()).is_acyclic()) {
+    // Strict two-phase locking makes commit order consistent across
+    // locks; a cycle here means an STM invariant broke.
+    throw std::logic_error("derived happens-before graph is cyclic");
+  }
 
   block.header.number = parent.header.number + 1;
   block.header.parent_hash = parent.hash();

@@ -80,9 +80,8 @@ struct MinerStats {
 /// The paper's miner. mine() implements Algorithm 1: execute the block's
 /// transactions as speculative actions on the miner's pool (one edgeless
 /// fork-join job per block, standing in for §6.1's ExecutorService),
-/// record lock profiles, derive the happens-before graph, topologically
-/// sort it into the equivalent serial order, and publish everything in
-/// the block.
+/// record lock profiles, check that the happens-before graph they induce
+/// is acyclic, and publish the profiles in the block.
 ///
 /// mine_serial() is the serial miner: it executes transactions one at a
 /// time in block order (no locks, no speculation) and publishes the

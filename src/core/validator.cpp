@@ -13,9 +13,7 @@ std::string_view to_string(RejectReason reason) noexcept {
     case RejectReason::kNone: return "accepted";
     case RejectReason::kBadCommitments: return "header commitments do not match body";
     case RejectReason::kMalformedSchedule: return "malformed schedule";
-    case RejectReason::kMissingConstraint: return "schedule misses a happens-before constraint";
-    case RejectReason::kCyclicSchedule: return "published schedule graph is cyclic";
-    case RejectReason::kBadSerialOrder: return "published serial order is not a topological sort";
+    case RejectReason::kCyclicSchedule: return "profile-derived schedule graph is cyclic";
     case RejectReason::kProfileMismatch: return "replay trace differs from published lock profile";
     case RejectReason::kStatusMismatch: return "replayed statuses differ from block";
     case RejectReason::kStateRootMismatch: return "replayed state root differs from header";
@@ -53,34 +51,22 @@ std::optional<graph::HappensBeforeGraph> Validator::structural_checks(
       return fail(RejectReason::kMalformedSchedule, "profiles not indexed by transaction");
     }
   }
-  for (const auto& [u, v] : schedule.edges) {
-    if (u >= n || v >= n || u == v) {
-      return fail(RejectReason::kMalformedSchedule, "edge endpoint out of range");
-    }
-  }
 
-  // "Naturally, the validator must be able to check that the proposed
-  // schedule really is serializable": the published graph must imply
-  // every ordering the profiles' use counters demand, otherwise two
-  // conflicting transactions could replay concurrently (a data race).
-  graph::HappensBeforeGraph published = schedule.to_graph(n);
-  const graph::HappensBeforeGraph derived = graph::derive_happens_before(schedule.profiles, n);
-  if (!published.implies(derived)) {
-    return fail(RejectReason::kMissingConstraint, "profile-derived edge not covered");
+  // The use counters are the schedule. Counters that order two
+  // transactions both ways leave no serial order to replay, and a cycle
+  // that spares some roots would stall run_dag forever, so it is
+  // rejected here.
+  graph::HappensBeforeGraph derived = schedule.to_graph(n);
+  if (!derived.is_acyclic()) {
+    return fail(RejectReason::kCyclicSchedule, "cycle in profile-derived graph");
   }
-  if (!published.is_acyclic()) {
-    return fail(RejectReason::kCyclicSchedule, "cycle in published edges");
-  }
-  if (!published.is_topological_order(schedule.serial_order)) {
-    return fail(RejectReason::kBadSerialOrder, "serial order inconsistent with graph");
-  }
-  return published;
+  return derived;
 }
 
 ValidationReport Validator::validate_parallel(const chain::Block& block) {
   ValidationReport report;
-  const std::optional<graph::HappensBeforeGraph> published = structural_checks(block, report);
-  if (!published) return report;
+  const std::optional<graph::HappensBeforeGraph> hb = structural_checks(block, report);
+  if (!hb) return report;
 
   const std::size_t n = block.transactions.size();
   std::vector<vm::TxStatus> statuses(n, vm::TxStatus::kSuccess);
@@ -92,7 +78,7 @@ ValidationReport Validator::validate_parallel(const chain::Block& block) {
   // acquired. A replay that throws still lets the DAG drain; the pool
   // rethrows here afterwards.
   try {
-    pool_.run_dag(published->successor_lists(), [&](std::uint32_t i) {
+    pool_.run_dag(hb->successor_lists(), [&](std::uint32_t i) {
       vm::TraceRecorder trace;
       statuses[i] = engine_.execute_traced(block.transactions[i], trace);
       const stm::LockProfile& expected = block.schedule.profiles[i];
@@ -125,34 +111,6 @@ ValidationReport Validator::validate_parallel(const chain::Block& block) {
   if (engine_.world().state_root(&parallel_) != block.header.state_root) {
     report.reason = RejectReason::kStateRootMismatch;
     report.detail = "final state divergence";
-    return report;
-  }
-  report.ok = true;
-  return report;
-}
-
-ValidationReport Validator::validate_serial(const chain::Block& block) {
-  ValidationReport report;
-  if (!structural_checks(block, report)) return report;
-
-  const std::size_t n = block.transactions.size();
-  std::vector<vm::TxStatus> statuses(n, vm::TxStatus::kSuccess);
-  // Serial re-execution follows the published equivalent serial order S,
-  // exactly as pre-paper validators re-run the block's transactions "in
-  // block-order".
-  for (const std::uint32_t i : block.schedule.serial_order) {
-    statuses[i] = engine_.execute_serial(block.transactions[i]);
-  }
-  report.replayed = n;
-
-  if (statuses != block.statuses) {
-    report.reason = RejectReason::kStatusMismatch;
-    report.detail = "transaction outcome divergence (serial)";
-    return report;
-  }
-  if (engine_.world().state_root() != block.header.state_root) {
-    report.reason = RejectReason::kStateRootMismatch;
-    report.detail = "final state divergence (serial)";
     return report;
   }
   report.ok = true;

@@ -20,11 +20,8 @@ namespace concord::core {
 enum class RejectReason : std::uint8_t {
   kNone = 0,
   kBadCommitments,      ///< Header does not commit to the body it carries.
-  kMalformedSchedule,   ///< Profile indices / edge endpoints out of range.
-  kMissingConstraint,   ///< Published graph doesn't imply a profile-derived edge
-                        ///< (the "schedule has a data race" case of §5).
-  kCyclicSchedule,      ///< Published graph is not a DAG.
-  kBadSerialOrder,      ///< Published S is not a topological sort of H.
+  kMalformedSchedule,   ///< Profiles not one per transaction, in index order.
+  kCyclicSchedule,      ///< Profile counters order some transactions both ways.
   kProfileMismatch,     ///< Replay trace differs from a published profile.
   kStatusMismatch,      ///< Replayed tx outcomes differ from the block's.
   kStateRootMismatch,   ///< Replayed final state differs from the header.
@@ -60,22 +57,17 @@ struct ValidatorConfig {
 
 /// The paper's validator (§4 / Algorithm 2).
 ///
-/// validate_parallel() turns the published happens-before graph into a
-/// deterministic fork-join program on a work-stealing pool: each
-/// transaction replays (no abstract locks, no conflict detection, no
-/// rollback machinery) once all of its graph predecessors finish, while a
-/// thread-local TraceRecorder captures the locks it *would* have taken.
-/// The block is accepted only if (1) the published graph implies every
-/// constraint derivable from the published profiles, (2) it is acyclic
-/// and the published serial order is one of its topological sorts,
-/// (3) every replay trace matches its published profile, (4) the replayed
-/// status vector matches, and (5) the final state root matches.
+/// validate_parallel() derives the happens-before graph from the
+/// published lock profiles and turns it into a deterministic fork-join
+/// program on a work-stealing pool: each transaction replays (no abstract
+/// locks, no conflict detection, no rollback machinery) once all of its
+/// graph predecessors finish, while a thread-local TraceRecorder captures
+/// the locks it *would* have taken. The block is accepted only if (1) the
+/// profile-derived graph is acyclic, (2) every replay trace matches its
+/// published profile, (3) the replayed status vector matches, and (4) the
+/// final state root matches.
 ///
-/// validate_serial() is the pre-paper behaviour: re-execute in the serial
-/// order and compare outcomes — the correctness oracle for tests and the
-/// baseline for benches.
-///
-/// Both methods mutate the world to the post-block state when they reach
+/// Validation mutates the world to the post-block state once it reaches
 /// the re-execution stage; the caller provides a world positioned at the
 /// parent state (and owns rebuilding it if validation fails mid-way).
 class Validator {
@@ -83,8 +75,6 @@ class Validator {
   explicit Validator(vm::World& world, ValidatorConfig config = {});
 
   [[nodiscard]] ValidationReport validate_parallel(const chain::Block& block);
-
-  [[nodiscard]] ValidationReport validate_serial(const chain::Block& block);
 
   /// Resumable-from-snapshot entry point: re-points the validator at
   /// `world`. A failed validation leaves the replica dirty (replay
@@ -98,8 +88,8 @@ class Validator {
 
  private:
   /// Checks everything that does not require re-execution. Returns the
-  /// published happens-before graph when `report` is still clean, so the
-  /// replay runs on the graph the checks accepted.
+  /// profile-derived happens-before graph when `report` is still clean, so
+  /// the replay runs on the graph the checks accepted.
   std::optional<graph::HappensBeforeGraph> structural_checks(const chain::Block& block,
                                                              ValidationReport& report) const;
 

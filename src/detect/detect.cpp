@@ -28,7 +28,7 @@ Footprint footprint_of(const stm::AccessRecorder& log) {
   return fp;
 }
 
-/// Nodes reachable from `u` (u excluded) over the published graph.
+/// Nodes reachable from `u` (u excluded) over the schedule's graph.
 std::vector<bool> reachable_from(const graph::HappensBeforeGraph& hb, std::uint32_t u) {
   std::vector<bool> seen(hb.node_count(), false);
   std::deque<std::uint32_t> frontier{u};

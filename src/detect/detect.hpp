@@ -39,9 +39,9 @@ namespace concord::detect {
 ///     is exactly "held now" — no lock-release events needed.
 ///
 ///  2. Schedule-soundness oracle (paper Theorem 1 as an executable
-///     assertion): transactions left unordered by the published
-///     happens-before graph must have non-conflicting access footprints,
-///     otherwise the fork-join replay could race.
+///     assertion): transactions left unordered by the happens-before
+///     graph of the published profiles must have non-conflicting access
+///     footprints, otherwise the fork-join replay could race.
 struct Violation {
   std::uint32_t tx = 0;               ///< Block index of the offending transaction.
   std::string contract;               ///< Target contract address (hex).

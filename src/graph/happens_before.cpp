@@ -17,7 +17,6 @@ void HappensBeforeGraph::add_edge(std::uint32_t u, std::uint32_t v) {
   auto& succ = successors_[u];
   if (std::find(succ.begin(), succ.end(), v) != succ.end()) return;
   succ.push_back(v);
-  predecessors_[v].push_back(u);
   ++edge_count_;
 }
 
@@ -40,7 +39,9 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> HappensBeforeGraph::edges()
 std::optional<std::vector<std::uint32_t>> HappensBeforeGraph::topological_order() const {
   const std::size_t n = node_count();
   std::vector<std::size_t> indegree(n, 0);
-  for (std::uint32_t v = 0; v < n; ++v) indegree[v] = predecessors_[v].size();
+  for (const auto& succ : successors_) {
+    for (const std::uint32_t v : succ) ++indegree[v];
+  }
 
   // Min-heap on node index: deterministic output for a given graph.
   std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
@@ -60,72 +61,6 @@ std::optional<std::vector<std::uint32_t>> HappensBeforeGraph::topological_order(
   }
   if (order.size() != n) return std::nullopt;  // Cycle.
   return order;
-}
-
-bool HappensBeforeGraph::is_topological_order(std::span<const std::uint32_t> order) const {
-  const std::size_t n = node_count();
-  if (order.size() != n) return false;
-  std::vector<std::size_t> position(n, n);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i] >= n || position[order[i]] != n) return false;  // Not a permutation.
-    position[order[i]] = i;
-  }
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (const std::uint32_t v : successors_[u]) {
-      if (position[u] >= position[v]) return false;
-    }
-  }
-  return true;
-}
-
-std::vector<bool> HappensBeforeGraph::reachable_from(std::uint32_t u, bool skip_direct) const {
-  std::vector<bool> seen(node_count(), false);
-  std::vector<std::uint32_t> stack;
-  const auto push = [&](std::uint32_t w) {
-    if (!seen[w]) {
-      seen[w] = true;
-      stack.push_back(w);
-    }
-  };
-  if (skip_direct) {
-    // Seed with successors-of-successors so that direct edges are not
-    // counted as paths (used by the transitive reduction).
-    for (const std::uint32_t v : successors_[u]) {
-      for (const std::uint32_t w : successors_[v]) push(w);
-    }
-  } else {
-    for (const std::uint32_t v : successors_[u]) push(v);
-  }
-  while (!stack.empty()) {
-    const std::uint32_t v = stack.back();
-    stack.pop_back();
-    for (const std::uint32_t w : successors_[v]) push(w);
-  }
-  return seen;
-}
-
-bool HappensBeforeGraph::implies(const HappensBeforeGraph& other) const {
-  if (other.node_count() != node_count()) return false;
-  for (std::uint32_t u = 0; u < other.node_count(); ++u) {
-    if (other.successors_[u].empty()) continue;
-    const std::vector<bool> reach = reachable_from(u, /*skip_direct=*/false);
-    for (const std::uint32_t v : other.successors_[u]) {
-      if (!reach[v]) return false;
-    }
-  }
-  return true;
-}
-
-HappensBeforeGraph HappensBeforeGraph::transitive_reduction() const {
-  HappensBeforeGraph reduced(node_count());
-  for (std::uint32_t u = 0; u < node_count(); ++u) {
-    if (successors_[u].empty()) continue;
-    const std::vector<bool> indirect = reachable_from(u, /*skip_direct=*/true);
-    for (const std::uint32_t v : successors_[u]) {
-      if (!indirect[v]) reduced.add_edge(u, v);
-    }
-  }
-  return reduced;
 }
 
 HappensBeforeGraph derive_happens_before(std::span<const stm::LockProfile> profiles,

@@ -15,14 +15,15 @@ namespace concord::graph {
 /// for u. Derived from lock profiles by derive_happens_before() below.
 class HappensBeforeGraph {
  public:
-  explicit HappensBeforeGraph(std::size_t nodes) : successors_(nodes), predecessors_(nodes) {}
+  explicit HappensBeforeGraph(std::size_t nodes) : successors_(nodes) {}
 
   [[nodiscard]] std::size_t node_count() const noexcept { return successors_.size(); }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
 
-  /// Adds u → v; duplicate edges are ignored. Self-loops are rejected by
-  /// assertion in debug builds and ignored in release (a malformed block
-  /// fails the acyclicity check anyway, which is the proper reject path).
+  /// Adds u → v; duplicate edges are ignored. Self-loops and endpoints out
+  /// of range are rejected by assertion in debug builds and ignored in
+  /// release (derive_happens_before emits neither from profiles whose
+  /// indices the validator has checked).
   void add_edge(std::uint32_t u, std::uint32_t v);
 
   [[nodiscard]] bool has_edge(std::uint32_t u, std::uint32_t v) const;
@@ -35,43 +36,19 @@ class HappensBeforeGraph {
   [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& successor_lists() const noexcept {
     return successors_;
   }
-  [[nodiscard]] const std::vector<std::uint32_t>& predecessors(std::uint32_t v) const {
-    return predecessors_[v];
-  }
 
-  /// All edges as (u, v) pairs, sorted — the canonical serialized form.
+  /// All edges as (u, v) pairs, sorted (the DOT export's edge order).
   [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> edges() const;
 
-  /// Kahn's algorithm with a smallest-index tie-break, so the serial order
-  /// the miner publishes is a deterministic function of the graph.
-  /// Returns std::nullopt when the graph has a cycle.
+  /// Kahn's algorithm with a smallest-index tie-break, so the order is a
+  /// deterministic function of the graph. Returns std::nullopt when the
+  /// graph has a cycle.
   [[nodiscard]] std::optional<std::vector<std::uint32_t>> topological_order() const;
 
   [[nodiscard]] bool is_acyclic() const { return topological_order().has_value(); }
 
-  /// True when `order` is a permutation of the nodes consistent with every
-  /// edge. Validators use this to check the published serial order S
-  /// against the published graph H.
-  [[nodiscard]] bool is_topological_order(std::span<const std::uint32_t> order) const;
-
-  /// True when every edge of `other` connects nodes that are ordered the
-  /// same way in this graph via some path (i.e. this graph's constraints
-  /// imply other's). Used by validators: the published graph must imply
-  /// every profile-derived constraint, or conflicting transactions could
-  /// race during replay.
-  [[nodiscard]] bool implies(const HappensBeforeGraph& other) const;
-
-  /// Transitive reduction (smallest graph with the same reachability).
-  /// Diagnostic/metrics use; the derivation below already emits
-  /// near-minimal edges on its hot path.
-  [[nodiscard]] HappensBeforeGraph transitive_reduction() const;
-
  private:
-  /// Reachability from u (BFS); used by implies() and the reduction.
-  [[nodiscard]] std::vector<bool> reachable_from(std::uint32_t u, bool skip_direct) const;
-
   std::vector<std::vector<std::uint32_t>> successors_;
-  std::vector<std::vector<std::uint32_t>> predecessors_;
   std::size_t edge_count_ = 0;
 };
 

@@ -18,7 +18,8 @@ namespace concord::net {
 /// Hello handshake rejects the session up front instead of letting a
 /// decode error or a root mismatch masquerade as a Byzantine peer later.
 /// 2: state roots use vm::World::kStateRootFormat 2. 3: no shard-lane count.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// 4: the block schedule is its lock profiles alone (no edges, no order).
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Frame payload discriminator — the first payload byte of every frame.
 enum class MsgType : std::uint8_t {
@@ -42,10 +43,10 @@ struct Hello {
 };
 
 /// A full serialized block pushed leader → follower. The block carries
-/// its complete BlockSchedule (profiles, happens-before edges, serial
-/// order), so the follower re-verifies the published schedule across
-/// the trust boundary exactly as the paper's validator does — nothing
-/// is taken on faith from the wire.
+/// its BlockSchedule (the lock profiles), so the follower derives the
+/// happens-before graph itself and re-verifies the schedule across the
+/// trust boundary exactly as the paper's validator does — nothing is
+/// taken on faith from the wire.
 struct BlockAnnounce {
   chain::Block block;
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "chain/block.hpp"
 #include "core/miner.hpp"
 #include "core/validator.hpp"
@@ -16,8 +19,8 @@
 namespace concord::chain {
 namespace {
 
-Block make_reference_block() {
-  const workload::WorkloadSpec spec{workload::BenchmarkKind::kMixed, 30, 40, 5};
+Block make_reference_block(
+    const workload::WorkloadSpec& spec = {workload::BenchmarkKind::kMixed, 30, 40, 5}) {
   auto fixture = workload::make_fixture(spec);
   core::Miner miner(*fixture.world, core::MinerConfig{.threads = 3, .nanos_per_gas = 0.0});
   return miner.mine(fixture.transactions, fixture.genesis());
@@ -27,6 +30,27 @@ std::vector<std::uint8_t> encode_block(const Block& block) {
   util::ByteWriter w;
   block.encode(w);
   return std::move(w).take();
+}
+
+/// Picks a random transaction and the first other transaction holding two
+/// of its locks, and swaps the pair's counters on one shared lock. False
+/// when the pick shares no two locks with anyone.
+bool swap_counters_across_locks(BlockSchedule& schedule, util::Rng& rng) {
+  stm::LockProfile& u = schedule.profiles[rng.below(schedule.profiles.size())];
+  for (stm::LockProfile& v : schedule.profiles) {
+    if (&v == &u) continue;
+    std::vector<std::pair<stm::LockProfileEntry*, stm::LockProfileEntry*>> shared;
+    for (stm::LockProfileEntry& eu : u.entries) {
+      for (stm::LockProfileEntry& ev : v.entries) {
+        if (eu.lock == ev.lock) shared.emplace_back(&eu, &ev);
+      }
+    }
+    if (shared.size() < 2) continue;
+    const auto [eu, ev] = shared[rng.below(shared.size())];
+    std::swap(eu->counter, ev->counter);
+    return true;
+  }
+  return false;
 }
 
 class ChainFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -100,9 +124,7 @@ TEST(ChainFuzz, CorruptedScheduleStillRejectsAtValidation) {
   // re-seal the commitments (simulating a malicious miner rather than
   // line noise), and require the semantic validator to reject.
   const workload::WorkloadSpec spec{workload::BenchmarkKind::kBallot, 40, 50, 6};
-  auto fixture = workload::make_fixture(spec);
-  core::Miner miner(*fixture.world, core::MinerConfig{.threads = 3, .nanos_per_gas = 0.0});
-  const Block honest = miner.mine(fixture.transactions, fixture.genesis());
+  const Block honest = make_reference_block(spec);
 
   util::Rng rng(4321);
   int footprint_forgeries = 0;
@@ -133,36 +155,50 @@ TEST(ChainFuzz, CorruptedScheduleStillRejectsAtValidation) {
   }
   EXPECT_GT(footprint_forgeries, 0);
 
-  // Counter shifts are different: they re-order the *claimed* schedule.
-  // A shift may yield an equivalent (or merely over-serialized) schedule,
-  // which a validator legitimately accepts — but acceptance must imply
-  // the replayed state still matches, and no shift may crash.
-  for (int trial = 0; trial < 40; ++trial) {
-    Block forged = honest;
-    auto& profile = forged.schedule.profiles[rng.below(forged.schedule.profiles.size())];
-    if (profile.entries.empty()) continue;
-    auto& entry = profile.entries[rng.below(profile.entries.size())];
-    entry.counter += 1 + rng.below(5);
-    // The honest edges may now miss derived constraints; republish the
-    // edges a lying-but-consistent miner would derive from the forged
-    // profiles, so acceptance hinges on semantics, not structure.
-    const auto derived = graph::derive_happens_before(forged.schedule.profiles,
-                                                      forged.transactions.size());
-    if (!derived.is_acyclic()) continue;  // Malformed forgery; structural reject is trivial.
-    forged.schedule.edges = derived.edges();
-    forged.schedule.serial_order = *derived.topological_order();
-    forged.header.schedule_hash = forged.schedule.hash();
+  // Counter forgeries are different: they re-order the *claimed*
+  // schedule. A shift moves one holder along one lock; a cross-lock swap
+  // exchanges two transactions' counters on one of two locks they share,
+  // so the pair may now claim opposite orders on the two. A forgery whose
+  // derived graph is cyclic must be rejected as such, before replay. An
+  // acyclic one may yield an equivalent (or merely over-serialized)
+  // schedule, which a validator legitimately accepts — but acceptance must
+  // imply the replayed state still matches, and no forgery may crash or
+  // hang. The auction block is where swaps close cycles: every two bids
+  // hold the highest-bid and highest-bidder locks, while Ballot's shared
+  // locks are voter entries and commuting tallies.
+  const workload::WorkloadSpec auction_spec{workload::BenchmarkKind::kSimpleAuction, 40, 50, 6};
+  const std::pair<workload::WorkloadSpec, Block> counter_cases[] = {
+      {spec, honest}, {auction_spec, make_reference_block(auction_spec)}};
+  int cyclic_forgeries = 0;
+  for (const auto& [counter_spec, mined] : counter_cases) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Block forged = mined;
+      if (trial % 2 == 0) {
+        auto& profile = forged.schedule.profiles[rng.below(forged.schedule.profiles.size())];
+        if (profile.entries.empty()) continue;
+        profile.entries[rng.below(profile.entries.size())].counter += 1 + rng.below(5);
+      } else if (!swap_counters_across_locks(forged.schedule, rng)) {
+        continue;
+      }
+      forged.header.schedule_hash = forged.schedule.hash();
+      const bool cyclic = !forged.schedule.to_graph(forged.transactions.size()).is_acyclic();
 
-    auto replica = workload::make_fixture(spec);
-    core::Validator validator(*replica.world,
-                              core::ValidatorConfig{.threads = 3, .nanos_per_gas = 0.0});
-    const auto report = validator.validate_parallel(forged);
-    if (report.ok) {
-      // Accepted ⇒ the reordering was semantically equivalent: the replay
-      // reproduced the block's exact statuses and state root.
-      EXPECT_EQ(replica.world->state_root(), forged.header.state_root);
+      auto replica = workload::make_fixture(counter_spec);
+      core::Validator validator(*replica.world,
+                                core::ValidatorConfig{.threads = 3, .nanos_per_gas = 0.0});
+      const auto report = validator.validate_parallel(forged);
+      if (cyclic) {
+        ++cyclic_forgeries;
+        EXPECT_EQ(report.reason, core::RejectReason::kCyclicSchedule)
+            << workload::to_string(counter_spec.kind) << " trial " << trial;
+      } else if (report.ok) {
+        // Accepted ⇒ the reordering was semantically equivalent: the
+        // replay reproduced the block's exact statuses and state root.
+        EXPECT_EQ(replica.world->state_root(), forged.header.state_root);
+      }
     }
   }
+  EXPECT_GT(cyclic_forgeries, 0);
 }
 
 }  // namespace

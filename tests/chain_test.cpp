@@ -26,8 +26,6 @@ BlockSchedule sample_schedule() {
   p1.reverted = true;
   p1.entries = {{{1, 2}, stm::LockMode::kWrite, 2}};
   s.profiles = {p0, p1};
-  s.edges = {{0, 1}};
-  s.serial_order = {0, 1};
   return s;
 }
 
@@ -84,7 +82,7 @@ TEST(Schedule, EncodeDecodeRoundTrip) {
 TEST(Schedule, HashDetectsTampering) {
   const BlockSchedule s = sample_schedule();
   BlockSchedule tampered = s;
-  tampered.edges.clear();
+  tampered.profiles[1].entries[0].counter = 3;
   EXPECT_NE(s.hash(), tampered.hash());
 }
 
@@ -159,7 +157,7 @@ TEST(Block, CommitmentsDetectTamperedStatus) {
 TEST(Block, CommitmentsDetectTamperedSchedule) {
   Blockchain chain(util::sha256("genesis"));
   Block b = sample_block(chain.tip());
-  b.schedule.serial_order = {1, 0};
+  b.schedule.profiles[0].entries[0].counter = 3;  // Now tx 0 follows tx 1.
   EXPECT_FALSE(b.commitments_consistent());
 }
 

@@ -318,7 +318,8 @@ TEST(SoundnessOracle, UndeclaredConflictBreaksTheoremOne) {
       MutantToken::make_set_balance_tx(fx.contract, vm::Address::from_u64(2), shared_key, 9)};
   core::Miner miner(*fx.world, detect_miner());
   const chain::Block block = miner.mine_serial(txs, genesis);
-  ASSERT_TRUE(block.schedule.edges.empty());  // The seeded hole.
+  // The seeded hole.
+  ASSERT_EQ(block.schedule.to_graph(block.transactions.size()).edge_count(), 0u);
 
   const detect::DetectReport& report = miner.last_detect_report();
   ASSERT_EQ(report.soundness.size(), 1u) << report.to_json();
@@ -351,7 +352,7 @@ TEST(SoundnessOracle, CommutingUnorderedPairIsNotFlagged) {
       << miner.last_detect_report().to_json();
   // Sanity: the pair really is unordered (credits share only the
   // INCREMENT-mode lock).
-  EXPECT_TRUE(block.schedule.edges.empty());
+  EXPECT_EQ(block.schedule.to_graph(block.transactions.size()).edge_count(), 0u);
 }
 
 // ----------------------------------------------- Node-level plumbing ---

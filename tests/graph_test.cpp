@@ -38,7 +38,6 @@ TEST(HappensBefore, AddAndQueryEdges) {
   EXPECT_EQ(g.edge_count(), 2u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(1, 0));
-  EXPECT_EQ(g.predecessors(2), (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(g.successors(0), (std::vector<std::uint32_t>{1}));
 }
 
@@ -58,50 +57,6 @@ TEST(HappensBefore, CycleDetected) {
   g.add_edge(2, 0);
   EXPECT_FALSE(g.topological_order().has_value());
   EXPECT_FALSE(g.is_acyclic());
-}
-
-TEST(HappensBefore, IsTopologicalOrderChecks) {
-  HappensBeforeGraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  const std::vector<std::uint32_t> good = {0, 1, 2};
-  const std::vector<std::uint32_t> bad_order = {1, 0, 2};
-  const std::vector<std::uint32_t> not_permutation = {0, 0, 2};
-  const std::vector<std::uint32_t> wrong_size = {0, 1};
-  EXPECT_TRUE(g.is_topological_order(good));
-  EXPECT_FALSE(g.is_topological_order(bad_order));
-  EXPECT_FALSE(g.is_topological_order(not_permutation));
-  EXPECT_FALSE(g.is_topological_order(wrong_size));
-}
-
-TEST(HappensBefore, ImpliesDirectAndTransitive) {
-  HappensBeforeGraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-
-  HappensBeforeGraph direct(3);
-  direct.add_edge(0, 1);
-  HappensBeforeGraph transitive(3);
-  transitive.add_edge(0, 2);  // Implied via 1.
-  HappensBeforeGraph missing(3);
-  missing.add_edge(2, 0);  // Reverse: not implied.
-
-  EXPECT_TRUE(g.implies(direct));
-  EXPECT_TRUE(g.implies(transitive));
-  EXPECT_FALSE(g.implies(missing));
-}
-
-TEST(HappensBefore, TransitiveReductionDropsImpliedEdges) {
-  HappensBeforeGraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);  // Implied.
-  const HappensBeforeGraph reduced = g.transitive_reduction();
-  EXPECT_EQ(reduced.edge_count(), 2u);
-  EXPECT_TRUE(reduced.has_edge(0, 1));
-  EXPECT_TRUE(reduced.has_edge(1, 2));
-  EXPECT_FALSE(reduced.has_edge(0, 2));
-  EXPECT_TRUE(reduced.implies(g));
 }
 
 // -------------------------------------------- Profile-derived edges ----
@@ -176,12 +131,9 @@ TEST(DeriveHappensBefore, ReadIncrementReadAlternation) {
   const HappensBeforeGraph g = derive_happens_before(profiles, 3);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 2));
-  // 0 → 2 holds transitively; the run algorithm need not materialize it.
-  EXPECT_TRUE(g.implies([] {
-    HappensBeforeGraph need(3);
-    need.add_edge(0, 2);
-    return need;
-  }()));
+  // 0 → 2 holds transitively through 1; the run algorithm does not
+  // materialize it.
+  EXPECT_EQ(g.edge_count(), 2u);
 }
 
 TEST(DeriveHappensBefore, DisjointLocksNoEdges) {

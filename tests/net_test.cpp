@@ -505,36 +505,33 @@ TEST(NetReplication, ByzantineCorruptPostRootRejectedThenConverges) {
   EXPECT_EQ(follower_node->stats().net_wire_errors, 0u);
 }
 
-/// Byzantine gate 2: the edge-missing faulty block. One profile-derived
-/// happens-before edge is dropped from the published schedule and the
-/// schedule hash re-sealed, so the header commitments pass — only the
-/// validator's constraint check across the trust boundary catches it.
+/// Byzantine gate 2: lying use counters. No edges travel on the wire, so
+/// a leader can drop a happens-before constraint only by forging the
+/// counters it derives from; here transactions 0 and 1 claim opposite
+/// orders on two locks and the schedule hash is re-sealed, so the header
+/// commitments pass — only the follower's own derivation of the graph
+/// across the trust boundary catches the cycle, before any replay starts.
 TEST(NetReplication, ByzantineDroppedEdgeRejectedThenConverges) {
   const StreamSpec spec = stream_spec(/*blocks=*/3, /*txs_per_block=*/10);
   const std::vector<chain::Block> reference = make_reference_blocks(spec);
-  ASSERT_GE(reference.size(), 2u);
+  ASSERT_EQ(reference.size(), 3u);
 
-  // The first block with an edge whose removal the rest of the published
-  // graph does not cover (a transitively implied edge would be no fault).
-  std::size_t faulty = reference.size();
-  chain::Block malformed;
-  for (std::size_t b = 0; b < reference.size() && faulty == reference.size(); ++b) {
-    const chain::Block& block = reference[b];
-    const std::size_t n = block.transactions.size();
-    const graph::HappensBeforeGraph derived =
-        graph::derive_happens_before(block.schedule.profiles, n);
-    for (std::size_t e = 0; e < block.schedule.edges.size(); ++e) {
-      chain::Block candidate = block;
-      candidate.schedule.edges.erase(candidate.schedule.edges.begin() +
-                                     static_cast<std::ptrdiff_t>(e));
-      if (candidate.schedule.to_graph(n).implies(derived)) continue;
-      candidate.header.schedule_hash = candidate.schedule.hash();
-      malformed = std::move(candidate);
-      faulty = b;
-      break;
-    }
-  }
-  ASSERT_LT(faulty + 1, reference.size()) << "no reference block with a droppable edge";
+  const std::size_t faulty = 1;
+  chain::Block malformed = reference[faulty];
+  ASSERT_GE(malformed.transactions.size(), 3u);  // A third, honest tx keeps a root.
+  const stm::LockId first{0xC7C1E, 1};
+  const stm::LockId second{0xC7C1E, 2};
+  auto& p0 = malformed.schedule.profiles[0];
+  auto& p1 = malformed.schedule.profiles[1];
+  p0.entries.push_back({first, stm::LockMode::kWrite, 1});
+  p0.entries.push_back({second, stm::LockMode::kWrite, 2});
+  p1.entries.push_back({first, stm::LockMode::kWrite, 2});
+  p1.entries.push_back({second, stm::LockMode::kWrite, 1});
+  p0.canonicalize();
+  p1.canonicalize();
+  malformed.header.schedule_hash = malformed.schedule.hash();
+  ASSERT_TRUE(malformed.commitments_consistent());
+  ASSERT_FALSE(malformed.schedule.to_graph(malformed.transactions.size()).is_acyclic());
 
   auto follower_node = make_follower(spec);
   auto [follower_end, test_end] = PipeTransport::make_pair();
@@ -552,10 +549,10 @@ TEST(NetReplication, ByzantineDroppedEdgeRejectedThenConverges) {
 
   const std::uint64_t number = faulty + 1;
   send_msg(to_follower, Message{BlockAnnounce{malformed}});
-  const Nack nack = expect_msg<Nack>(from_follower, "nack for the dropped edge");
+  const Nack nack = expect_msg<Nack>(from_follower, "nack for the forged counters");
   EXPECT_EQ(nack.number, number);
   EXPECT_EQ(nack.reason, NackReason::kValidationFailed);
-  EXPECT_NE(nack.detail.find(core::to_string(core::RejectReason::kMissingConstraint)),
+  EXPECT_NE(nack.detail.find(core::to_string(core::RejectReason::kCyclicSchedule)),
             std::string::npos)
       << nack.detail;
   const BlockRequest retry = expect_msg<BlockRequest>(from_follower, "retransmission request");
